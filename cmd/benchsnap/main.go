@@ -1,65 +1,55 @@
 // Command benchsnap measures the simulator's headline performance
 // numbers with fixed work counts and writes them as a machine-readable
-// snapshot (BENCH_trace.json). Fixed counts — not testing.B calibration
-// — keep the fuzzing throughput cells comparable across runs: a
-// campaign's execs/sec drifts with the execution budget, so every
-// snapshot runs the same budget.
+// snapshot. Fixed counts — not testing.B calibration — keep the fuzzing
+// throughput cells comparable across runs: a campaign's execs/sec
+// drifts with the execution budget, so every snapshot runs the same
+// budget.
 //
-//	benchsnap                        # measure, write BENCH_trace.json
+//	benchsnap                        # trace-tier cells, write BENCH_trace.json
 //	benchsnap -quick -o /tmp/s.json  # reduced counts (smoke/CI)
 //	benchsnap -validate              # check the committed snapshot
-//	benchsnap -validate -f /tmp/s.json -strict=false
-//	benchsnap -profiles              # per-layout-profile fuzz throughput
-//	benchsnap -profiles -validate    # check BENCH_profiles.json
-//	benchsnap -sweep                 # harness trials/sec over the attack grids
-//	benchsnap -sweep -validate       # check BENCH_sweep.json
-//	benchsnap -metrics BENCH_metrics.json   # also freeze the registry
-//	benchsnap -runlog runs           # also append a record to the run ledger
+//	benchsnap -validate -f /tmp/s.json
+//	benchsnap -profiles              # per-layout-profile fuzz throughput (BENCH_profiles.json)
+//	benchsnap -sweep                 # harness trials/sec over the attack grids (BENCH_sweep.json)
+//	benchsnap -runlog runs           # also append the snapshot to a run ledger
 //
-// The snapshot schemas and validators live in internal/runlog/benchfmt
-// — one package owns the on-disk types of every BENCH_*.json kind, and
-// -validate dispatches on the file's "tool" tag, so it checks any of
-// them (plus telemetry-metrics files and run-ledger records).
+// A snapshot is a bench-kind run-ledger record (internal/runlog), the
+// same format -runlog appends and rundiff compares, so a committed
+// BENCH_*.json diffs directly against a fresh one. Config.Group names
+// the cell that measured it (trace, profiles or sweep); headline
+// timings sit in the record's wall section under "<group>.<metric>.<cell>";
+// work counts, the engine counters of the instrumented trace cell and
+// the sweep grids' cache and warm/cold counts sit in its metrics
+// counters, where they feed the record's content digest.
+//
+// Each cell declares its gates in code (gates.go). -validate loads the
+// record — schema, content ID, embedded metrics — and runs the gates of
+// its group: the sanity gates always, the absolute acceptance floors
+// (a ≥2× superblock speedup, a no-policy fuzz cell at ≥1M execs/sec,
+// the ≥5× build-cache speedup, ...) only on full-budget records. Quick
+// records, regenerated on slow or loaded CI machines, carry the
+// "quick" profile and are held to the sanity gates alone. -validate
+// also accepts telemetry-metrics files and sweep records from
+// secsim/attacklab -runlog, which it checks for shape only.
 //
 // -sweep measures full-pipeline trial throughput (recon, build, load,
-// run, classify) over the t1, cfi and t1p grids and writes
-// BENCH_sweep.json — the headline cells of the content-keyed build
-// cache and the snapshot-warmed trial workers. The snapshot records
-// each grid's cache and warm/cold counters and the measured speedup of
-// the cached t1 grid over the same grid with caching disabled; -strict
-// validation enforces the ≥5× floor.
-//
-// -metrics additionally freezes the measurement run's telemetry
-// registry (internal/telemetry) as a metrics file: the deterministic
-// engine counters of the instrumented cells plus every headline timing
-// under the explicitly non-deterministic "wall" section.
-//
-// -runlog appends the measurement as a bench-kind record to a run
-// ledger (internal/runlog): every headline number in the record's wall
-// section, the registry counters alongside, so rundiff can compare two
-// bench runs with regression floors (e.g. -floor trace.execs_per_sec.fuzz_micro=0.8).
+// run, classify) over the t1, cfi and t1p grids — the headline cells of
+// the content-keyed build cache and the snapshot-warmed trial workers —
+// plus the t1 grid through the uncached pipeline, whose ratio to the
+// cached t1 grid is the cache speedup.
 //
 // -profiles measures the echo-victim fuzz campaign once per machine
-// layout profile (internal/layout) and writes BENCH_profiles.json — the
-// cross-profile throughput comparison that shows layout parameterization
-// stays off the hot path.
-//
-// -validate re-reads a snapshot and checks it without re-measuring:
-// schema and shape, positive finite metrics, trace-tier sanity (a trace
-// actually formed and beats the block tier on the chain workload), and
-// — under -strict, for the committed snapshot — the acceptance floors
-// (a ≥2× superblock speedup, a no-policy fuzz cell at ≥1M execs/sec,
-// trace chain ≤ 5.9 ns/instr). Quick snapshots regenerated on slow or
-// loaded CI machines validate with -strict=false, which keeps only the
-// sanity checks.
+// layout profile (internal/layout) — the cross-profile throughput
+// comparison that shows layout parameterization stays off the hot path.
 package main
 
 import (
-	"errors"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -71,40 +61,59 @@ import (
 	"softsec/internal/mem"
 	"softsec/internal/minc"
 	"softsec/internal/runlog"
-	"softsec/internal/runlog/benchfmt"
 	"softsec/internal/telemetry"
 )
 
+// quickProfile marks a record measured with reduced work counts: a
+// different experiment from the full budget, held to sanity gates only.
+const quickProfile = "quick"
+
+// cell is one kind of snapshot: the file it is written to by default,
+// how it is measured, and the gates its records must pass.
+type cell struct {
+	file    string
+	measure func(s *snapshot, quick bool) error
+	gates   []gate
+}
+
+// cells maps a record's Config.Group to its cell.
+var cells = map[string]cell{
+	"trace":    {"BENCH_trace.json", measureTrace, traceGates},
+	"profiles": {"BENCH_profiles.json", measureProfiles, profileGates},
+	"sweep":    {"BENCH_sweep.json", measureSweep, sweepGates},
+}
+
 func main() {
 	var (
-		out      = flag.String("o", "", "snapshot file to write (default BENCH_trace.json, BENCH_profiles.json with -profiles)")
+		out      = flag.String("o", "", "snapshot file to write (default BENCH_<group>.json)")
 		validate = flag.Bool("validate", false, "validate a snapshot instead of measuring")
 		file     = flag.String("f", "", "snapshot file to validate (default like -o)")
-		quick    = flag.Bool("quick", false, "reduced work counts (smoke runs)")
-		strict   = flag.Bool("strict", true, "with -validate: enforce the absolute acceptance floors")
+		quick    = flag.Bool("quick", false, "reduced work counts (smoke runs; validated without the acceptance floors)")
 		profiles = flag.Bool("profiles", false, "measure fuzz throughput per machine layout profile instead of the trace-tier cells")
 		sweep    = flag.Bool("sweep", false, "measure harness trial throughput over the attack grids (build cache + warm workers)")
-		metrics  = flag.String("metrics", "", "also freeze the measurement's telemetry registry as a metrics file")
-		runDir   = flag.String("runlog", "", "also append the measurement as a bench record to this run-ledger directory (compare runs with rundiff)")
+		runDir   = flag.String("runlog", "", "also append the snapshot to this run-ledger directory (compare runs with rundiff)")
 	)
 	flag.Parse()
-	mode := "trace"
-	def := "BENCH_trace.json"
-	if *profiles {
-		mode, def = "profiles", "BENCH_profiles.json"
-	}
-	if *sweep {
-		mode, def = "sweep", "BENCH_sweep.json"
+	group := "trace"
+	switch {
+	case *profiles && *sweep:
+		fmt.Fprintln(os.Stderr, "benchsnap: -profiles and -sweep are separate snapshots; pick one")
+		flag.Usage()
+		os.Exit(2)
+	case *profiles:
+		group = "profiles"
+	case *sweep:
+		group = "sweep"
 	}
 	if *out == "" {
-		*out = def
+		*out = cells[group].file
 	}
 	if *file == "" {
-		*file = def
+		*file = cells[group].file
 	}
 
 	if *validate {
-		if err := validateFile(*file, *strict); err != nil {
+		if err := validateFile(*file); err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			os.Exit(1)
 		}
@@ -112,27 +121,12 @@ func main() {
 		return
 	}
 
-	var snap any
-	var err error
-	reg := telemetry.NewRegistry()
-	switch {
-	case *profiles:
-		snap, err = measureProfiles(*quick, reg)
-	case *sweep:
-		snap, err = measureSweep(*quick, reg)
-	default:
-		snap, err = measure(*quick, reg)
-	}
+	r, err := measure(group, *quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap:", err)
 		os.Exit(1)
 	}
-	// The machine fingerprint rides the metrics wall section (and the
-	// run record), same as harness sweeps: a frozen registry names the
-	// machine that produced its numbers.
-	env := runlog.CaptureEnv(runtime.NumCPU())
-	env.PublishWall(reg)
-	b, err := benchfmt.Marshal(snap)
+	b, err := r.Marshal()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap:", err)
 		os.Exit(1)
@@ -142,95 +136,61 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
-	if *metrics != "" {
-		mb, err := reg.MetricsJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*metrics, mb, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *metrics)
-	}
 	if *runDir != "" {
-		if err := appendRunLog(*runDir, mode, *quick, env, reg); err != nil {
+		if err := appendRunLog(*runDir, r); err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			os.Exit(1)
 		}
 	}
-	switch s := snap.(type) {
-	case *benchfmt.Snapshot:
-		for k, v := range s.NsPerInstr {
-			fmt.Printf("  %-18s %8.2f ns/instr\n", k, v)
-		}
-		for k, v := range s.ExecsPerSec {
-			fmt.Printf("  %-18s %8.0f execs/sec\n", k, v)
-		}
-		for k, v := range s.NsPerOp {
-			fmt.Printf("  %-18s %8.1f ns/op\n", k, v)
-		}
-	case *benchfmt.ProfilesSnapshot:
-		for _, name := range layout.Names() {
-			fmt.Printf("  %-18s %8.0f execs/sec\n", name, s.ExecsPerSec[name])
-		}
-	case *benchfmt.SweepSnapshot:
-		for _, g := range append(append([]string(nil), benchfmt.SweepGrids...), "t1-uncached") {
-			c := s.Grids[g]
-			fmt.Printf("  %-12s %8.0f trials/sec  (hits=%d misses=%d warm=%d cold=%d)\n",
-				g, c.TrialsPerSec, c.CacheHits, c.CacheMisses, c.WarmRestores, c.ColdLoads)
-		}
-		fmt.Printf("  %-12s %8.2fx\n", "speedup", s.CacheSpeedupT1)
+	for _, k := range sortedKeys(r.Wall) {
+		fmt.Printf("  %-36s %14.6g\n", k, r.Wall[k])
+	}
+	for _, k := range sortedKeys(r.Metrics.Counters) {
+		fmt.Printf("  %-36s %14d\n", k, r.Metrics.Counters[k])
 	}
 }
 
-// validateFile dispatches a snapshot file to its kind's validator by
-// tool tag: the benchfmt kinds plus run-ledger records.
-func validateFile(path string, strict bool) error {
+// validateFile checks a snapshot file. Telemetry-metrics files are
+// checked for shape; everything else must load as a run-ledger record,
+// and benchsnap records must also pass their group's gates.
+func validateFile(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	err = benchfmt.Validate(b, strict)
-	if errors.Is(err, benchfmt.ErrUnknownTool) {
-		if tool, perr := benchfmt.PeekTool(b); perr == nil && tool == runlog.Tool {
-			err = runlog.Validate(b)
-		}
-	}
-	if err != nil {
+	if err := validateData(b); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
-// appendRunLog appends the measurement to a run ledger as a bench-kind
-// record: every headline wall number (the registry's wall section) plus
-// the deterministic counters, so rundiff can gate on throughput ratios.
-func appendRunLog(dir, mode string, quick bool, env runlog.Env, reg *telemetry.Registry) error {
+func validateData(b []byte) error {
+	var peek struct {
+		Tool string `json:"tool"`
+	}
+	if err := json.Unmarshal(b, &peek); err != nil {
+		return err
+	}
+	if peek.Tool == telemetry.MetricsTool {
+		return telemetry.ValidateMetrics(b)
+	}
+	r, err := runlog.Load(b)
+	if err != nil {
+		return err
+	}
+	if r.Config.Tool != "benchsnap" {
+		return nil
+	}
+	return checkGates(r)
+}
+
+// appendRunLog appends the snapshot record to a run ledger.
+func appendRunLog(dir string, r *runlog.Record) error {
 	st, err := runlog.Open(dir)
 	if err != nil {
 		return err
 	}
-	f := reg.File()
-	wall := map[string]float64{}
-	for k, v := range f.Wall {
-		// Headline timings only — the env.* fingerprint entries already
-		// live in Record.Env.
-		if fv, ok := v.(float64); ok && !strings.HasPrefix(k, "env.") {
-			wall[mode+"."+k] = fv
-		}
-	}
-	cfg := runlog.Config{Tool: "benchsnap", Kind: runlog.KindBench, Group: mode}
-	if quick {
-		cfg.Profile = "quick" // quick budgets are a different experiment
-	}
-	e, err := st.Append(&runlog.Record{
-		Config:  cfg,
-		Env:     env,
-		Metrics: f,
-		Wall:    wall,
-	})
+	e, err := st.Append(r)
 	if err != nil {
 		return err
 	}
@@ -238,24 +198,63 @@ func appendRunLog(dir, mode string, quick bool, env runlog.Env, reg *telemetry.R
 	return nil
 }
 
+// snapshot collects one measurement: headline timings for the record's
+// wall section and deterministic counts for its metrics.
+type snapshot struct {
+	group string
+	wall  map[string]float64
+	reg   *telemetry.Registry
+}
+
+// time records a headline timing under "<group>.<key>".
+func (s *snapshot) time(key string, v float64) { s.wall[s.group+"."+key] = v }
+
+// measure runs one cell and seals the result as a bench record.
+func measure(group string, quick bool) (*runlog.Record, error) {
+	s := &snapshot{group: group, wall: map[string]float64{}, reg: telemetry.NewRegistry()}
+	if err := cells[group].measure(s, quick); err != nil {
+		return nil, err
+	}
+	cfg := runlog.Config{Tool: "benchsnap", Kind: runlog.KindBench, Group: group}
+	if quick {
+		cfg.Profile = quickProfile
+	}
+	r := &runlog.Record{
+		Config:  cfg,
+		Env:     runlog.CaptureEnv(runtime.NumCPU()),
+		Metrics: s.reg.File(),
+		Wall:    s.wall,
+	}
+	r.Seal()
+	return r, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // --- measurement --------------------------------------------------------
 
-func measure(quick bool, reg *telemetry.Registry) (*benchfmt.Snapshot, error) {
-	s := &benchfmt.Snapshot{Schema: benchfmt.SchemaVersion, Tool: benchfmt.ToolTrace, Quick: quick}
-	s.Counts.ChainInstrs = 8 << 20
-	s.Counts.FuzzExecs = 1 << 20
-	s.Counts.RestoreCycles = 200000
+// measureTrace times the execution tiers on a dispatch-bound chain, the
+// fuzz campaigns under the production tier, and snapshot restore.
+func measureTrace(s *snapshot, quick bool) error {
+	chainInstrs, fuzzExecs, restoreCycles := 8<<20, 1<<20, 200000
 	if quick {
-		s.Counts.ChainInstrs = 1 << 18
-		s.Counts.FuzzExecs = 1 << 14
-		s.Counts.RestoreCycles = 4096
+		chainInstrs, fuzzExecs, restoreCycles = 1<<18, 1<<14, 4096
 	}
+	s.reg.Count("bench.chain_instrs", uint64(chainInstrs))
+	s.reg.Count("bench.fuzz_execs", uint64(fuzzExecs))
+	s.reg.Count("bench.restore_cycles", uint64(restoreCycles))
 
 	savedB, savedT := cpu.UseBlockEngine, cpu.UseTraceEngine
 	defer func() { cpu.UseBlockEngine, cpu.UseTraceEngine = savedB, savedT }()
 
 	var trace cpu.TraceStats
-	s.NsPerInstr = map[string]float64{}
 	for _, cell := range []struct {
 		name         string
 		block, trace bool
@@ -268,39 +267,23 @@ func measure(quick bool, reg *telemetry.Registry) (*benchfmt.Snapshot, error) {
 		{"trace_chain8", true, true, 8, &trace},
 	} {
 		cpu.UseBlockEngine, cpu.UseTraceEngine = cell.block, cell.trace
-		ns, err := timeChain(cell.nblocks, s.Counts.ChainInstrs, cell.ts)
+		ns, err := timeChain(cell.nblocks, chainInstrs, cell.ts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cell.name, err)
+			return fmt.Errorf("%s: %w", cell.name, err)
 		}
-		s.NsPerInstr[cell.name] = ns
-		reg.SetWall("ns_per_instr."+cell.name, ns)
+		s.time("ns_per_instr."+cell.name, ns)
 	}
 	if trace.Formed == 0 {
-		return nil, fmt.Errorf("trace_chain8: no trace formed (measured the block tier)")
+		return fmt.Errorf("trace_chain8: no trace formed (measured the block tier)")
 	}
-	s.Trace = benchfmt.TraceSummary{
-		Formed: trace.Formed, Dispatches: trace.Dispatches,
-		Completions: trace.Completions, LoopBacks: trace.LoopBacks,
-		SideExits: trace.SideExits, StaleExits: trace.StaleExits,
-		AvgLen: trace.AvgLen(), SideExitRate: trace.SideExitRate(),
-		LenHist: map[string]uint64{},
-	}
-	for l, n := range trace.LenHist {
-		if n != 0 {
-			s.Trace.LenHist[fmt.Sprintf("%02d", l)] = n
-		}
-	}
-	// Freeze the instrumented cell's engine counters into the registry —
-	// the deterministic side of the snapshot, same namespace the harness
-	// -metrics flag writes.
+	// The instrumented cell's engine counters prove trace_chain8
+	// measured superblocks.
 	tsnap := telemetry.NewSnap()
-	tsnap.Scenario = "benchsnap/trace_chain8"
 	trace.Publish(tsnap)
-	reg.AddSnap(tsnap)
+	s.reg.AddSnap(tsnap)
 
 	// Fuzz campaign throughput under the production (trace) tier.
 	cpu.UseBlockEngine, cpu.UseTraceEngine = true, true
-	s.ExecsPerSec = map[string]float64{}
 	for _, cell := range []struct {
 		name string
 		cfg  fuzz.Config
@@ -310,47 +293,43 @@ func measure(quick bool, reg *telemetry.Registry) (*benchfmt.Snapshot, error) {
 		{"fuzz_cfi_coarse", fuzz.Config{Name: "echo", Source: echoVictim, Seed: 1, CFI: "coarse"}},
 		{"fuzz_cfi_fine", fuzz.Config{Name: "echo", Source: echoVictim, Seed: 1, CFI: "fine"}},
 	} {
-		eps, err := timeFuzz(cell.cfg, s.Counts.FuzzExecs)
+		eps, err := timeFuzz(cell.cfg, fuzzExecs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cell.name, err)
+			return fmt.Errorf("%s: %w", cell.name, err)
 		}
-		s.ExecsPerSec[cell.name] = eps
-		reg.SetWall("execs_per_sec."+cell.name, eps)
+		s.time("execs_per_sec."+cell.name, eps)
 	}
 
-	ns, err := timeRestore(s.Counts.RestoreCycles)
+	ns, err := timeRestore(restoreCycles)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot_restore: %w", err)
+		return fmt.Errorf("snapshot_restore: %w", err)
 	}
-	s.NsPerOp = map[string]float64{"snapshot_restore": ns}
-	reg.SetWall("ns_per_op.snapshot_restore", ns)
-	return s, nil
+	s.time("ns_per_op.snapshot_restore", ns)
+	return nil
 }
 
 // measureProfiles times the echo-victim fuzz campaign (production trace
 // tier, DEP on) once per layout profile with identical budgets.
-func measureProfiles(quick bool, reg *telemetry.Registry) (*benchfmt.ProfilesSnapshot, error) {
-	s := &benchfmt.ProfilesSnapshot{Schema: benchfmt.SchemaVersion, Tool: benchfmt.ToolProfiles, Quick: quick}
-	s.Counts.FuzzExecs = 1 << 18
+func measureProfiles(s *snapshot, quick bool) error {
+	fuzzExecs := 1 << 18
 	if quick {
-		s.Counts.FuzzExecs = 1 << 13
+		fuzzExecs = 1 << 13
 	}
+	s.reg.Count("bench.fuzz_execs", uint64(fuzzExecs))
 
 	savedB, savedT := cpu.UseBlockEngine, cpu.UseTraceEngine
 	defer func() { cpu.UseBlockEngine, cpu.UseTraceEngine = savedB, savedT }()
 	cpu.UseBlockEngine, cpu.UseTraceEngine = true, true
 
-	s.ExecsPerSec = map[string]float64{}
 	for _, name := range layout.Names() {
 		cfg := fuzz.Config{Name: "echo", Source: echoVictim, Seed: 1, DEP: true, Profile: name}
-		eps, err := timeFuzz(cfg, s.Counts.FuzzExecs)
+		eps, err := timeFuzz(cfg, fuzzExecs)
 		if err != nil {
-			return nil, fmt.Errorf("profile %s: %w", name, err)
+			return fmt.Errorf("profile %s: %w", name, err)
 		}
-		s.ExecsPerSec[name] = eps
-		reg.SetWall("execs_per_sec."+name, eps)
+		s.time("execs_per_sec."+name, eps)
 	}
-	return s, nil
+	return nil
 }
 
 // chainCPU builds a bare machine looping through nblocks two-instruction

@@ -5,12 +5,11 @@ package main
 // trace-tier cells (ns/instr of the execution engine), these cells
 // measure the full per-trial pipeline — recon, build, load, run,
 // classify — which is exactly what content-keyed build caching and
-// snapshot-warmed workers amortize. The snapshot records, per grid, the
+// snapshot-warmed workers amortize. The record holds, per grid, the
 // trials/sec plus the build-cache and warm/cold counters that prove the
-// number was produced by the cached pipeline, and freezes the measured
-// speedup of the cached t1 grid over the same grid with the cache layer
-// disabled and warm reuse stripped (the pre-cache pipeline). The
-// on-disk schema and validator live in internal/runlog/benchfmt.
+// number was produced by the cached pipeline, and the same t1 grid with
+// the cache layer disabled and warm reuse stripped (the pre-cache
+// pipeline) that the cache speedup is measured against.
 
 import (
 	"fmt"
@@ -20,78 +19,78 @@ import (
 	"softsec/internal/buildcache"
 	"softsec/internal/core"
 	"softsec/internal/harness"
-	"softsec/internal/runlog/benchfmt"
-	"softsec/internal/telemetry"
 )
+
+// sweepGrids are the groups a sweep snapshot measures through the
+// cached pipeline, in order.
+var sweepGrids = []string{"t1", "cfi", "t1p"}
+
+// uncachedGrid names the t1 reference run through the pre-cache pipeline.
+const uncachedGrid = "t1-uncached"
 
 // measureSweep times every grid with identical budgets and the t1
 // uncached reference.
-func measureSweep(quick bool, reg *telemetry.Registry) (*benchfmt.SweepSnapshot, error) {
-	s := &benchfmt.SweepSnapshot{Schema: benchfmt.SchemaVersion, Tool: benchfmt.ToolSweep, Quick: quick}
+func measureSweep(s *snapshot, quick bool) error {
 	// Enough trials per cell that the one-time toolchain misses amortize
 	// the way they do in a real sweep (the motivating workloads run
 	// hundreds of trials per cell).
-	s.Counts.Trials = 64
+	trials := 64
 	if quick {
-		s.Counts.Trials = 4
+		trials = 4
 	}
-	s.Counts.Jobs = runtime.NumCPU()
-	s.Grids = map[string]benchfmt.SweepGrid{}
+	s.reg.Count("bench.trials", uint64(trials))
 
 	catalog := harness.NewRegistry()
 	if err := core.RegisterScenarios(catalog); err != nil {
-		return nil, err
+		return err
 	}
-	for _, g := range benchfmt.SweepGrids {
+	for _, g := range sweepGrids {
 		scs := catalog.Group(g)
 		if len(scs) == 0 {
-			return nil, fmt.Errorf("grid %s: no scenarios", g)
+			return fmt.Errorf("grid %s: no scenarios", g)
 		}
-		cell, err := timeSweep(scs, s.Counts.Trials, s.Counts.Jobs)
-		if err != nil {
-			return nil, fmt.Errorf("grid %s: %w", g, err)
+		if err := timeSweep(s, g, scs, trials); err != nil {
+			return fmt.Errorf("grid %s: %w", g, err)
 		}
-		s.Grids[g] = cell
-		reg.SetWall("trials_per_sec."+g, cell.TrialsPerSec)
 	}
 
 	// The uncached reference: same t1 budgets through the pre-cache
 	// pipeline (cache layer off, every trial a cold load).
 	prev := buildcache.SetEnabled(false)
-	uncached, err := timeSweep(stripWarm(catalog.Group("t1")), s.Counts.Trials, s.Counts.Jobs)
+	err := timeSweep(s, uncachedGrid, stripWarm(catalog.Group("t1")), trials)
 	buildcache.SetEnabled(prev)
 	if err != nil {
-		return nil, fmt.Errorf("grid t1-uncached: %w", err)
+		return fmt.Errorf("grid %s: %w", uncachedGrid, err)
 	}
-	s.Grids["t1-uncached"] = uncached
-	reg.SetWall("trials_per_sec.t1-uncached", uncached.TrialsPerSec)
-	s.CacheSpeedupT1 = s.Grids["t1"].TrialsPerSec / uncached.TrialsPerSec
-	reg.SetWall("cache_speedup.t1", s.CacheSpeedupT1)
-	return s, nil
+	return nil
 }
 
-// timeSweep runs one grid and reads the run's cache and warm counters
-// (harness.Run resets the build caches at start, so TotalStats after
-// the run describes exactly this run).
-func timeSweep(scs []harness.Scenario, trials, jobs int) (benchfmt.SweepGrid, error) {
+// timeSweep runs one grid on one worker per CPU and records its
+// trials/sec and the run's cache and warm counters (harness.Run resets
+// the build caches at start, so TotalStats after the run describes
+// exactly this run).
+func timeSweep(s *snapshot, grid string, scs []harness.Scenario, trials int) error {
 	start := time.Now()
-	rep := harness.Run(scs, harness.Options{Trials: trials, Jobs: jobs, BaseSeed: 1})
+	rep := harness.Run(scs, harness.Options{Trials: trials, Jobs: runtime.NumCPU(), BaseSeed: 1})
 	elapsed := time.Since(start).Seconds()
 	for _, c := range rep.Cells {
 		if c.Errors > 0 {
-			return benchfmt.SweepGrid{}, fmt.Errorf("cell %s: %d trial errors (%s)", c.Scenario, c.Errors, c.FirstError)
+			return fmt.Errorf("cell %s: %d trial errors (%s)", c.Scenario, c.Errors, c.FirstError)
 		}
 	}
 	st := buildcache.TotalStats()
-	return benchfmt.SweepGrid{
-		Scenarios:      len(scs),
-		TrialsPerSec:   float64(len(scs)*trials) / elapsed,
-		CacheHits:      st.Hits,
-		CacheMisses:    st.Misses,
-		CacheEvictions: st.Evictions,
-		WarmRestores:   rep.WarmRestores,
-		ColdLoads:      rep.ColdLoads,
-	}, nil
+	s.time("trials_per_sec."+grid, float64(len(scs)*trials)/elapsed)
+	for name, v := range map[string]uint64{
+		"scenarios":       uint64(len(scs)),
+		"cache_hits":      st.Hits,
+		"cache_misses":    st.Misses,
+		"cache_evictions": st.Evictions,
+		"warm_restores":   uint64(rep.WarmRestores),
+		"cold_loads":      uint64(rep.ColdLoads),
+	} {
+		s.reg.Count("bench."+name+"."+grid, v)
+	}
+	return nil
 }
 
 // stripWarm copies the scenarios without their warm hooks, forcing the

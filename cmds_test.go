@@ -333,7 +333,7 @@ main:
 		if !strings.Contains(out, "trace_chain8") {
 			t.Fatalf("benchsnap output:\n%s", out)
 		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap, "-strict=false")
+		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap)
 		if !strings.Contains(out, "ok") {
 			t.Fatalf("benchsnap validate output:\n%s", out)
 		}
@@ -352,31 +352,37 @@ main:
 				t.Fatalf("benchsnap -profiles output missing %q:\n%s", want, out)
 			}
 		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap, "-strict=false")
+		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap)
 		if !strings.Contains(out, "ok") {
 			t.Fatalf("benchsnap validate output:\n%s", out)
 		}
 	})
 	t.Run("benchsnap freezes the registry", func(t *testing.T) {
 		snap := filepath.Join(work, "freeze.json")
-		mfile := filepath.Join(work, "freeze_metrics.json")
-		out := runTool(t, bin, "benchsnap", 0, "-quick", "-o", snap, "-metrics", mfile)
-		if !strings.Contains(out, "wrote "+mfile) {
-			t.Fatalf("benchsnap output:\n%s", out)
-		}
-		data, err := os.ReadFile(mfile)
+		runTool(t, bin, "benchsnap", 0, "-quick", "-o", snap)
+		data, err := os.ReadFile(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Engine counters in the deterministic section, timings in wall.
+		// The snapshot is a run record embedding the registry: engine
+		// counters in the deterministic section, timings in wall.
 		for _, want := range []string{"cpu.trace.formed", `"wall"`, "ns_per_instr.trace_chain8"} {
 			if !strings.Contains(string(data), want) {
-				t.Fatalf("frozen registry missing %q:\n%s", want, data)
+				t.Fatalf("snapshot missing %q:\n%s", want, data)
 			}
 		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", mfile)
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("benchsnap validate output:\n%s", out)
+		runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap)
+	})
+	t.Run("rundiff committed sweep snapshot against a fresh one", func(t *testing.T) {
+		// Snapshots are run records, so a committed file and a fresh
+		// quick regen diff with no conversion.
+		snap := filepath.Join(work, "sweepsnap.json")
+		runTool(t, bin, "benchsnap", 0, "-sweep", "-quick", "-o", snap)
+		out := runTool(t, bin, "rundiff", 0, "BENCH_sweep.json", snap)
+		for _, want := range []string{"config profile:  -> quick", "sweep.trials_per_sec.t1-uncached"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("rundiff output missing %q:\n%s", want, out)
+			}
 		}
 	})
 	t.Run("benchsnap rejects corrupt snapshot", func(t *testing.T) {
@@ -385,8 +391,20 @@ main:
 			t.Fatal(err)
 		}
 		out := runTool(t, bin, "benchsnap", 1, "-validate", "-f", bad)
-		if !strings.Contains(out, "schema 99") {
+		if !strings.Contains(out, "runlog: record: schema 99") {
 			t.Fatalf("benchsnap output:\n%s", out)
+		}
+	})
+	t.Run("benchsnap rejects -profiles with -sweep", func(t *testing.T) {
+		// Two snapshot kinds in one run would measure one and label it
+		// the other; with no -o it would overwrite a committed file.
+		snap := filepath.Join(work, "both.json")
+		out := runTool(t, bin, "benchsnap", 2, "-profiles", "-sweep", "-quick", "-o", snap)
+		if !strings.Contains(out, "-profiles and -sweep") {
+			t.Fatalf("benchsnap output:\n%s", out)
+		}
+		if _, err := os.Stat(snap); !os.IsNotExist(err) {
+			t.Fatalf("snapshot written despite the usage error (stat: %v)", err)
 		}
 	})
 

@@ -238,11 +238,20 @@ func (d *Diff) diffWall(opt Options) {
 			w.Ratio = bv / av
 		}
 		d.Wall = append(d.Wall, w)
-		if floor, ok := opt.Floors[k]; ok && av > 0 && w.Ratio < floor {
+		floor, hasFloor := opt.Floors[k]
+		ceil, hasCeil := opt.Ceils[k]
+		if (hasFloor || hasCeil) && !(av > 0) {
+			// A ratio to a non-positive baseline means nothing; a
+			// configured gate must not pass silently.
+			d.Regressions = append(d.Regressions, fmt.Sprintf(
+				"%s: baseline %.4g <= 0, floor/ceiling cannot be checked", k, av))
+			continue
+		}
+		if hasFloor && w.Ratio < floor {
 			d.Regressions = append(d.Regressions, fmt.Sprintf(
 				"%s: %.4g -> %.4g (ratio %.3f < floor %.3f)", k, av, bv, w.Ratio, floor))
 		}
-		if ceil, ok := opt.Ceils[k]; ok && av > 0 && w.Ratio > ceil {
+		if hasCeil && w.Ratio > ceil {
 			d.Regressions = append(d.Regressions, fmt.Sprintf(
 				"%s: %.4g -> %.4g (ratio %.3f > ceiling %.3f)", k, av, bv, w.Ratio, ceil))
 		}

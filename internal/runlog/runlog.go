@@ -192,33 +192,17 @@ func (r *Record) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Load parses and validates a serialized record.
+// Load parses and validates a serialized record: schema, tool tag and
+// kind, a content ID that recomputes from the content, and the
+// embedded metrics.
 func Load(data []byte) (*Record, error) {
-	r, err := decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return r, validate(r)
-}
-
-func decode(data []byte) (*Record, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var r Record
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("runlog: record: %w", err)
 	}
-	return &r, nil
-}
-
-// Validate checks that data is a well-formed, untampered run record —
-// the entry point benchsnap -validate dispatches to on the tool tag.
-func Validate(data []byte) error {
-	r, err := decode(data)
-	if err != nil {
-		return err
-	}
-	return validate(r)
+	return &r, validate(&r)
 }
 
 func validate(r *Record) error {

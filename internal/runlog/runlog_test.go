@@ -69,7 +69,7 @@ func TestValidateRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(data); err != nil {
+	if _, err := Load(data); err != nil {
 		t.Fatalf("sealed record: %v", err)
 	}
 	// Swap the report without resealing: the content hash must notice.
@@ -82,7 +82,7 @@ func TestValidateRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(tampered); err == nil {
+	if _, err := Load(tampered); err == nil {
 		t.Fatal("tampered record validated")
 	}
 }
@@ -279,6 +279,25 @@ func TestCompareRegressionFloors(t *testing.T) {
 	if len(d.Regressions) != 1 {
 		t.Fatalf("missing-key floor: %v", d.Regressions)
 	}
+
+	// A baseline of 0 or below has no meaningful ratio: a configured
+	// floor or ceiling on it must fail loudly too.
+	for _, base := range []float64{0, -3} {
+		a.Wall["queue_depth"] = base
+		b.Wall["queue_depth"] = 7
+		for _, opt := range []Options{
+			{Floors: map[string]float64{"queue_depth": 0.5}},
+			{Ceils: map[string]float64{"queue_depth": 2}},
+		} {
+			d, err = Compare(a, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "queue_depth: baseline") {
+				t.Fatalf("baseline %v, %+v: regressions %v", base, opt, d.Regressions)
+			}
+		}
+	}
 }
 
 func TestEnvPublishWallIsMachineInvariantOnly(t *testing.T) {
@@ -321,7 +340,7 @@ func TestLabelAndKinds(t *testing.T) {
 	bad.Config.Kind = "mystery"
 	bad.Seal()
 	data, _ := bad.Marshal()
-	if err := Validate(data); err == nil {
+	if _, err := Load(data); err == nil {
 		t.Fatal("unknown kind validated")
 	}
 }
