@@ -96,6 +96,29 @@ func TestValidateDispatch(t *testing.T) {
 	}
 }
 
+// TestValidateTraceRejects: the committed trace snapshot, altered only
+// in its schema number or by one field the record does not declare, is
+// rejected rather than validated.
+func TestValidateTraceRejects(t *testing.T) {
+	_, data := loadCommitted(t, "BENCH_trace.json")
+	good := string(data)
+	for name, tc := range map[string]struct {
+		old, new, want string
+	}{
+		"bad schema":    {`"schema": 1,`, `"schema": 99,`, "schema 99"},
+		"unknown field": {`"schema": 1,`, `"schema": 1, "bogus": 1,`, `unknown field "bogus"`},
+	} {
+		bad := strings.Replace(good, tc.old, tc.new, 1)
+		if bad == good {
+			t.Fatalf("%s: %q not found in BENCH_trace.json", name, tc.old)
+		}
+		err := validateData([]byte(bad))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestGatesFire violates each declared gate alone, on a copy of the
 // committed record of its cell, and checks that validation names that
 // gate and no other. Sanity gates whose violation would also break a
