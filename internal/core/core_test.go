@@ -281,6 +281,12 @@ func TestMatrixRunnerAndRender(t *testing.T) {
 	if !strings.Contains(out, "COMPROMISED") || !strings.Contains(out, "stack-smash-inject") {
 		t.Fatalf("render:\n%s", out)
 	}
+	// The header pads the row-label column to the longest attack name
+	// (never narrower than the "attack \\ defense" caption) plus two.
+	header, _, _ := strings.Cut(out, "\n")
+	if want := "attack               | none             | dep             "; header != want {
+		t.Fatalf("header:\n%q\nwant\n%q", header, want)
+	}
 }
 
 func TestASLREffectivenessAcrossSeeds(t *testing.T) {

@@ -41,6 +41,44 @@ func TestRegisterScenariosCatalog(t *testing.T) {
 	}
 }
 
+// TestWarmEligibilityPerGroup pins, per catalog group, how many cells
+// there are and how many offer a warm snapshot path. A cell is warm
+// exactly when its victim cannot change between trials, so a moved
+// count means either a reseeding rule or a warm decision changed.
+func TestWarmEligibilityPerGroup(t *testing.T) {
+	r := harness.NewRegistry()
+	if err := RegisterScenarios(r); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]int{ // group -> {cells, warm cells}
+		"cfi":       {32, 32},
+		"t1":        {66, 33},
+		"t1p":       {99, 33},
+		"mc-aslr":   {11, 0},
+		"mc-canary": {4, 0},
+		"t3":        {10, 0},
+		"fuzz":      {24, 0},
+		"fuzzp":     {18, 0},
+	}
+	for _, g := range r.Groups() {
+		if _, ok := want[g]; !ok {
+			t.Errorf("unexpected group %q", g)
+		}
+	}
+	for g, w := range want {
+		var got [2]int
+		for _, sc := range r.Group(g) {
+			got[0]++
+			if sc.Warm != nil {
+				got[1]++
+			}
+		}
+		if got != w {
+			t.Errorf("group %s: (cells, warm) = %v, want %v", g, got, w)
+		}
+	}
+}
+
 // TestHarnessDeterminismAcrossJobs is the acceptance property: the same
 // sweep aggregated from 1 worker and from many workers must serialize to
 // byte-identical reports.
