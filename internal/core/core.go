@@ -173,24 +173,43 @@ func Run(s Scenario, m Mitigations) (Result, error) {
 // returned alongside the result. A nil spec behaves exactly like Run
 // and returns a nil snapshot.
 func RunCollected(s Scenario, m Mitigations, spec *telemetry.Spec) (Result, *telemetry.Snap, error) {
-	p, err := BuildVictim(s, m)
+	p, err := loadVictim(s, m, true)
 	if err != nil {
 		return Result{}, nil, err
+	}
+	r, snap := runLoaded(p, s.Goal, spec)
+	return r, snap, nil
+}
+
+// loadVictim builds and loads the scenario's victim under m (with the
+// given cache access mode, see cache.go) and readies it to run: the CFI
+// policy m deploys is installed, then the scenario's PostLoad hook runs.
+func loadVictim(s Scenario, m Mitigations, counted bool) (*kernel.Process, error) {
+	p, err := buildVictimVia(s, m, counted)
+	if err != nil {
+		return nil, err
 	}
 	if m.CFI != "" {
 		prec, ok := CFIPrecisionByName(m.CFI)
 		if !ok {
-			return Result{}, nil, fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
+			return nil, fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
 		}
 		if err := InstallCFI(p, prec); err != nil {
-			return Result{}, nil, err
+			return nil, err
 		}
 	}
 	if s.PostLoad != nil {
 		if err := s.PostLoad(p); err != nil {
-			return Result{}, nil, fmt.Errorf("core: post-load: %w", err)
+			return nil, fmt.Errorf("core: post-load: %w", err)
 		}
 	}
+	return p, nil
+}
+
+// runLoaded runs a loaded (or freshly restored) victim with fresh
+// instruments attached when spec asks, and classifies the final state
+// against goal. The snapshot is nil when spec is.
+func runLoaded(p *kernel.Process, goal Oracle, spec *telemetry.Spec) (Result, *telemetry.Snap) {
 	ins := kernel.AttachInstruments(p, spec)
 	st := p.Run()
 	r := Result{
@@ -199,12 +218,12 @@ func RunCollected(s Scenario, m Mitigations, spec *telemetry.Spec) (Result, *tel
 		Output: p.Output.Bytes(),
 		Proc:   p,
 	}
-	r.Outcome = Classify(p, st, s.Goal)
+	r.Outcome = Classify(p, st, goal)
 	var snap *telemetry.Snap
 	if ins != nil {
 		snap = ins.Snap(p, ins.SinceAttach(p))
 	}
-	return r, snap, nil
+	return r, snap
 }
 
 // Classify maps a final process state to an Outcome. The goal predicate

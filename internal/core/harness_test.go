@@ -29,7 +29,7 @@ func TestRegisterScenariosCatalog(t *testing.T) {
 	if _, ok := r.Lookup("t1/rop-chain/canary+dep+aslr"); !ok {
 		t.Fatal("expected cell name missing — naming scheme changed?")
 	}
-	if got, want := len(r.Group("fuzz")), len(fuzz.Scenarios()); got != want || got == 0 {
+	if got, want := len(r.Group("fuzz")), len(fuzz.ScenariosFor("")); got != want || got == 0 {
 		t.Fatalf("fuzz cells %d, want %d (all campaign cells registered)", got, want)
 	}
 	if _, ok := r.Lookup("fuzz/echo/none"); !ok {
@@ -75,6 +75,47 @@ func TestWarmEligibilityPerGroup(t *testing.T) {
 		}
 		if got != w {
 			t.Errorf("group %s: (cells, warm) = %v, want %v", g, got, w)
+		}
+	}
+}
+
+// TestReseedRule pins the one per-trial reseeding rule every
+// per-trial-seeded attack cell applies, and that warmReseeds agrees
+// with it: a config is warm-ineligible exactly when reseed changes it.
+func TestReseedRule(t *testing.T) {
+	const seed = int64(0x1234_5678)
+	// The canary mix constant is restated on purpose: the benchmark's
+	// replay rebuilds per-trial configs with the same literal.
+	mixed := seed ^ 0x5eed_caba_11ed_c0de
+	type reseedCase struct {
+		name string
+		m    Mitigations
+		seed int64
+		want Mitigations
+	}
+	cases := []reseedCase{
+		{"aslr", Mitigations{ASLR: true}, seed, Mitigations{ASLR: true, ASLRSeed: seed}},
+		{"aslr-configured", Mitigations{ASLR: true, ASLRSeed: 42}, seed, Mitigations{ASLR: true, ASLRSeed: seed}},
+		{"canary", Mitigations{Canary: true, CanarySeed: 7}, seed, Mitigations{Canary: true, CanarySeed: mixed}},
+		{"canary-predictable", Mitigations{Canary: true}, seed, Mitigations{Canary: true}},
+		{"canary-mix-seed", Mitigations{Canary: true, CanarySeed: 7}, canaryMix, Mitigations{Canary: true, CanarySeed: 1}},
+		{"default-stack",
+			Mitigations{Canary: true, CanarySeed: 7, DEP: true, ASLR: true, ASLRSeed: 42},
+			seed, Mitigations{Canary: true, CanarySeed: mixed, DEP: true, ASLR: true, ASLRSeed: seed}},
+		{"dep", Mitigations{DEP: true}, seed, Mitigations{DEP: true}},
+		{"checked", Mitigations{Checked: true, DEP: true}, seed, Mitigations{Checked: true, DEP: true}},
+	}
+	for _, lv := range CFILevels() {
+		m := cfiMitigations(lv)
+		cases = append(cases, reseedCase{"cfi/" + lv.Name, m, seed, m})
+	}
+	for _, c := range cases {
+		got := reseed(c.m, c.seed)
+		if got != c.want {
+			t.Errorf("%s: reseed(%+v, %#x) = %+v, want %+v", c.name, c.m, c.seed, got, c.want)
+		}
+		if changed := got != c.m; warmReseeds(c.m) != changed {
+			t.Errorf("%s: warmReseeds = %v, but reseed changes the config: %v", c.name, warmReseeds(c.m), changed)
 		}
 	}
 }

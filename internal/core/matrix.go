@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"softsec/internal/harness"
+	"softsec/internal/telemetry"
 )
 
 // StandardConfigs are the countermeasure columns of the T1 matrix: from
@@ -35,40 +36,79 @@ func nonzeroSeed(s int64) int64 {
 	return s
 }
 
-// TrialScenario wraps one (attack, mitigation) cell as a harness
-// scenario. When perTrialSeeds is set, each trial re-randomizes what the
-// config randomizes: the ASLR layout seed, and the canary value when the
-// config uses an unpredictable canary (CanarySeed != 0 — a zero seed
-// deliberately models the predictable default canary and is preserved).
-// Deterministic configs simply repeat, which is what makes success *rates*
-// meaningful for the randomized ones.
-func TrialScenario(a AttackSpec, cfg Mitigations, perTrialSeeds bool) harness.Scenario {
-	label := cfg.String()
+// reseed re-randomizes what m randomizes for one trial: the ASLR layout
+// seed, and the canary value when m uses an unpredictable canary
+// (CanarySeed != 0 — a zero seed deliberately models the predictable
+// default canary and is preserved).
+func reseed(m Mitigations, seed int64) Mitigations {
+	if m.ASLR {
+		m.ASLRSeed = seed
+	}
+	if m.Canary && m.CanarySeed != 0 {
+		m.CanarySeed = nonzeroSeed(seed ^ canaryMix)
+	}
+	return m
+}
+
+// warmReseeds reports whether reseed re-randomizes any field of m — the
+// condition that rules out serving a per-trial-seeded cell from a warm
+// snapshot.
+func warmReseeds(m Mitigations) bool {
+	return m.ASLR || (m.Canary && m.CanarySeed != 0)
+}
+
+// attackCell wraps one (attack, mitigation) pairing as a harness cell.
+// When perTrialSeeds is set, every trial runs under reseed(cfg, seed).
+// The cell gets a warm snapshot path exactly when its effective config
+// never changes across trials — no reseeding at all, or a config reseed
+// leaves untouched — since it then always loads the same victim at the
+// same layout.
+func attackCell(name, group string, meta map[string]string, a AttackSpec, cfg Mitigations, perTrialSeeds bool) harness.Scenario {
 	sc := harness.Scenario{
-		Name:  "t1/" + a.Name + "/" + label,
-		Group: "t1",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": label},
+		Name:  name,
+		Group: group,
+		Meta:  meta,
 		Run: func(t harness.Trial) harness.TrialResult {
 			m := cfg
 			if perTrialSeeds {
-				if m.ASLR {
-					m.ASLRSeed = t.Seed
-				}
-				if m.Canary && m.CanarySeed != 0 {
-					m.CanarySeed = nonzeroSeed(t.Seed ^ canaryMix)
-				}
+				m = reseed(m, t.Seed)
 			}
-			return runTrialCell(a, m, t.Telemetry)
+			s, err := a.Scenario(m)
+			if err != nil {
+				return harness.TrialResult{Err: err}
+			}
+			return trialResult(RunCollected(s, m, t.Telemetry))
 		},
 	}
-	// A cell whose effective config never changes across trials — no
-	// per-trial reseeding at all, or a config the reseeding rule leaves
-	// untouched — always loads the same victim at the same layout, so
-	// workers may serve its trials from a warm snapshot.
 	if !perTrialSeeds || !warmReseeds(cfg) {
-		sc.Warm = warmCellSpec(a, cfg)
+		sc.Warm = &harness.WarmSpec{New: func() (harness.WarmInstance, error) {
+			return newWarmCell(a, cfg)
+		}}
 	}
 	return sc
+}
+
+// trialResult converts a classified run into harness terms.
+func trialResult(r Result, snap *telemetry.Snap, err error) harness.TrialResult {
+	if err != nil {
+		return harness.TrialResult{Err: err}
+	}
+	return harness.TrialResult{
+		Outcome:   r.Outcome.String(),
+		Code:      int(r.Outcome),
+		Success:   r.Outcome == Compromised,
+		Telemetry: snap,
+	}
+}
+
+// TrialScenario wraps one (attack, mitigation) cell of the T1 grid as a
+// harness scenario, re-randomizing per trial (see reseed) when
+// perTrialSeeds is set. Deterministic configs simply repeat, which is
+// what makes success *rates* meaningful for the randomized ones.
+func TrialScenario(a AttackSpec, cfg Mitigations, perTrialSeeds bool) harness.Scenario {
+	label := cfg.String()
+	return attackCell("t1/"+a.Name+"/"+label, "t1",
+		map[string]string{"attack": a.Name, "mitigation": label}, a, cfg, perTrialSeeds)
 }
 
 // T1Scenarios builds the full attack × mitigation grid as harness
@@ -144,17 +184,10 @@ func (m *Matrix) Get(attack, mitigation string) (Cell, bool) {
 // T1/T3 artifacts).
 func (m *Matrix) Render() string {
 	var b strings.Builder
-	w := 0
+	w := len("attack \\ defense")
 	for _, a := range m.Attacks {
-		if len(a) > w {
-			w = len(a)
-		}
+		w = max(w, len(a))
 	}
-	fmt.Fprintf(&b, "%-*s", w+2, "attack \\ defense")
-	if w+2 < len("attack \\ defense")+2 {
-		w = len("attack \\ defense")
-	}
-	b.Reset()
 	fmt.Fprintf(&b, "%-*s", w+2, "attack")
 	for _, mit := range m.Mitigations {
 		fmt.Fprintf(&b, " | %-16s", mit)

@@ -95,13 +95,16 @@ func TestProfileSweepDeterminism(t *testing.T) {
 	// A cross-profile slice of t1p: one geometry-sensitive attack and one
 	// randomized config per profile, plus the divergent data-only cells.
 	var scs []harness.Scenario
-	for _, p := range layout.Profiles() {
-		for _, a := range Attacks() {
-			switch a.Name {
-			case "return-to-libc", "data-only":
-				scs = append(scs, profileTrialScenario(a, Mitigations{Canary: true, CanarySeed: 7}, p.Name))
+	for _, sc := range ProfileScenarios() {
+		switch sc.Meta["attack"] {
+		case "return-to-libc", "data-only":
+			if sc.Meta["mitigation"] == "canary" {
+				scs = append(scs, sc)
 			}
 		}
+	}
+	if got, want := len(scs), 2*len(layout.Profiles()); got != want {
+		t.Fatalf("selected %d t1p cells, want %d", got, want)
 	}
 	run := func(jobs int) []byte {
 		rep := harness.Run(scs, harness.Options{Trials: 4, Jobs: jobs, BaseSeed: 11})

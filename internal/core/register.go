@@ -4,7 +4,6 @@ import (
 	"softsec/internal/fuzz"
 	"softsec/internal/harness"
 	"softsec/internal/layout"
-	"softsec/internal/telemetry"
 )
 
 // RegisterScenarios populates a harness registry with every experiment
@@ -121,92 +120,38 @@ func ProfileGridConfigs() []Mitigations {
 }
 
 // ProfileScenarios builds the t1p grid: every attack × ProfileGridConfigs
-// × every layout profile. The profile is part of the cell name — unlike
-// the baked-profile groups, here it is the independent variable.
+// × every layout profile, reseeded per trial like t1. The profile is part
+// of the cell name — unlike the baked-profile groups, here it is the
+// independent variable.
 func ProfileScenarios() []harness.Scenario {
 	var out []harness.Scenario
 	for _, p := range layout.Profiles() {
 		for _, a := range Attacks() {
 			for _, cfg := range ProfileGridConfigs() {
-				out = append(out, profileTrialScenario(a, cfg, p.Name))
+				cfg.Profile = p.Name
+				label := cfg.String()
+				out = append(out, attackCell("t1p/"+p.Name+"/"+a.Name+"/"+label, "t1p",
+					map[string]string{"attack": a.Name, "mitigation": label, "profile": p.Name},
+					a, cfg, true))
 			}
 		}
 	}
 	return out
 }
 
-// profileTrialScenario is TrialScenario with the profile as an explicit
-// grid dimension, under group "t1p".
-func profileTrialScenario(a AttackSpec, cfg Mitigations, profile string) harness.Scenario {
-	label := cfg.String()
-	sc := harness.Scenario{
-		Name:  "t1p/" + profile + "/" + a.Name + "/" + label,
-		Group: "t1p",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": label, "profile": profile},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := cfg
-			m.Profile = profile
-			if m.ASLR {
-				m.ASLRSeed = t.Seed
-			}
-			if m.Canary && m.CanarySeed != 0 {
-				m.CanarySeed = nonzeroSeed(t.Seed ^ canaryMix)
-			}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
-	if !warmReseeds(cfg) {
-		m := cfg
-		m.Profile = profile
-		sc.Warm = warmCellSpec(a, m)
-	}
-	return sc
-}
-
 // aslrSweep runs the attack against ASLR alone, with a fresh layout seed
 // every trial. The interesting statistic is the survival rate — for a
 // sound implementation it should be (essentially) zero.
 func aslrSweep(a AttackSpec, profile string) harness.Scenario {
-	return harness.Scenario{
-		Name:  "mc/aslr/" + a.Name,
-		Group: "mc-aslr",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": "aslr"},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := Mitigations{ASLR: true, ASLRSeed: t.Seed, Profile: profile}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
+	return attackCell("mc/aslr/"+a.Name, "mc-aslr",
+		map[string]string{"attack": a.Name, "mitigation": "aslr"},
+		a, Mitigations{ASLR: true, Profile: profile}, true)
 }
 
 // canarySweep runs the attack against a canary whose secret value is
 // re-drawn every trial (plus DEP, the deployment it ships in).
 func canarySweep(a AttackSpec, profile string) harness.Scenario {
-	return harness.Scenario{
-		Name:  "mc/canary/" + a.Name,
-		Group: "mc-canary",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": "canary+dep"},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := Mitigations{Canary: true, CanarySeed: nonzeroSeed(t.Seed ^ canaryMix), DEP: true, Profile: profile}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
-}
-
-// runTrialCell builds and runs one scenario instance and converts the
-// outcome into harness terms, collecting telemetry when spec asks.
-func runTrialCell(a AttackSpec, m Mitigations, spec *telemetry.Spec) harness.TrialResult {
-	s, err := a.Scenario(m)
-	if err != nil {
-		return harness.TrialResult{Err: err}
-	}
-	res, snap, err := RunCollected(s, m, spec)
-	if err != nil {
-		return harness.TrialResult{Err: err}
-	}
-	return harness.TrialResult{
-		Outcome:   res.Outcome.String(),
-		Code:      int(res.Outcome),
-		Success:   res.Outcome == Compromised,
-		Telemetry: snap,
-	}
+	return attackCell("mc/canary/"+a.Name, "mc-canary",
+		map[string]string{"attack": a.Name, "mitigation": "canary+dep"},
+		a, Mitigations{Canary: true, CanarySeed: 7, DEP: true, Profile: profile}, true)
 }

@@ -17,9 +17,10 @@ import (
 //
 // Result equivalence with the cold path, piece by piece:
 //
-//   - layout/canary: the config is static (the eligibility gate below),
-//     so the cold path's per-trial Load draws the same layout and canary
-//     every time; Restore reproduces them from the snapshot.
+//   - layout/canary: the config is static (attackCell attaches a warm
+//     path only when no per-trial reseeding applies), so the cold
+//     path's per-trial Load draws the same layout and canary every
+//     time; Restore reproduces them from the snapshot.
 //   - input: Restore re-arms Config.Input with a fresh clone of the
 //     pristine input, matching the clone the cold Load performs. New
 //     refuses inputs that cannot clone (stateful InputFunc closures),
@@ -47,15 +48,6 @@ type warmCell struct {
 	snap *kernel.Snapshot
 }
 
-// warmCellSpec returns the harness warm hook for an attack cell with a
-// static mitigation config. Callers are responsible for the static
-// part — never attach one to a cell that reseeds m per trial.
-func warmCellSpec(a AttackSpec, m Mitigations) *harness.WarmSpec {
-	return &harness.WarmSpec{New: func() (harness.WarmInstance, error) {
-		return newWarmCell(a, m)
-	}}
-}
-
 // newWarmCell builds the cell's victim once and snapshots it pristine.
 // All builds go through the uncounted cache mode (cache.go): how many
 // workers warm a cell is a scheduling artifact that must never move
@@ -73,24 +65,15 @@ func newWarmCell(a AttackSpec, m Mitigations) (*warmCell, error) {
 			return nil, fmt.Errorf("%w: input source cannot clone", errNotWarmSafe)
 		}
 	}
-	p, err := buildVictimVia(s, m, false)
+	p, err := loadVictim(s, m, false)
 	if err != nil {
 		return nil, err
-	}
-	if m.CFI != "" {
-		prec, ok := CFIPrecisionByName(m.CFI)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
-		}
-		if err := InstallCFI(p, prec); err != nil {
-			return nil, err
-		}
 	}
 	return &warmCell{s: s, p: p, snap: p.Snapshot()}, nil
 }
 
 // RunTrial implements harness.WarmInstance: restore the pristine
-// snapshot, run, classify — the warm mirror of RunCollected.
+// snapshot, then run and classify as RunCollected does.
 func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	p := w.p
 	// Drop the previous trial's event/profiler hooks before restoring:
@@ -104,29 +87,6 @@ func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	if t.Telemetry != nil {
 		p.CPU.ResetCaches()
 	}
-	ins := kernel.AttachInstruments(p, t.Telemetry)
-	st := p.Run()
-	res := Result{
-		State:  st,
-		Exit:   p.CPU.ExitCode(),
-		Output: p.Output.Bytes(),
-		Proc:   p,
-	}
-	res.Outcome = Classify(p, st, w.s.Goal)
-	tr := harness.TrialResult{
-		Outcome: res.Outcome.String(),
-		Code:    int(res.Outcome),
-		Success: res.Outcome == Compromised,
-	}
-	if ins != nil {
-		tr.Telemetry = ins.Snap(p, ins.SinceAttach(p))
-	}
-	return tr
-}
-
-// warmReseeds reports whether a per-trial-seeded cell would re-randomize
-// this config every trial — the condition that disqualifies warm reuse
-// (matrix.go's reseeding rule, kept in one place).
-func warmReseeds(m Mitigations) bool {
-	return m.ASLR || (m.Canary && m.CanarySeed != 0)
+	r, snap := runLoaded(p, w.s.Goal, t.Telemetry)
+	return trialResult(r, snap, nil)
 }

@@ -62,7 +62,7 @@ func TestCampaignDeterministic(t *testing.T) {
 // fuzz cell must serialize to byte-identical JSON for -jobs 1 and
 // -jobs 4 (the harness determinism contract, acceptance criterion).
 func TestSweepJobsIndependent(t *testing.T) {
-	scs := Scenarios()
+	scs := ScenariosFor("")
 	if len(scs) == 0 {
 		t.Fatal("no fuzz scenarios registered")
 	}

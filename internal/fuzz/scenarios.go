@@ -101,42 +101,36 @@ func campaignConfigs() []mitConfig {
 // stack smash is found reliably on the unmitigated configs.
 const ScenarioExecs = 1500
 
-// Scenarios returns the fuzz campaign cells for harness registration
-// (core.RegisterScenarios includes them under group "fuzz").
-func Scenarios() []harness.Scenario {
-	return ScenariosFor("")
+// config is victim v's campaign under this stack, with the given
+// budget and layout profile.
+func (mc mitConfig) config(v CampaignSpec, execs int, profile string) Config {
+	return Config{
+		Name:        v.Name,
+		Source:      v.Source,
+		Canary:      mc.canary,
+		DEP:         mc.dep,
+		ASLR:        mc.aslr,
+		ShadowStack: mc.shadow,
+		CFI:         mc.cfi,
+		MaxExecs:    execs,
+		Profile:     profile,
+	}
 }
 
-// ScenariosFor returns the same "fuzz" group cells with the named layout
-// profile baked into every campaign. Cell names are unchanged — the
-// profile is platform identity, like running the suite on different
-// hardware — so per-trial seeds (derived from names) stay comparable
-// across profiles.
+// ScenariosFor returns the "fuzz" group cells (core.RegisterScenarios
+// includes them) with the named layout profile (empty = classic) baked
+// into every campaign. Cell names are unchanged — the profile is
+// platform identity, like running the suite on different hardware — so
+// per-trial seeds (derived from names) stay comparable across profiles.
 func ScenariosFor(profile string) []harness.Scenario {
 	var out []harness.Scenario
 	for _, v := range Victims() {
 		for _, mc := range campaignConfigs() {
-			cfg := Config{
-				Name:        v.Name,
-				Source:      v.Source,
-				Canary:      mc.canary,
-				DEP:         mc.dep,
-				ASLR:        mc.aslr,
-				ShadowStack: mc.shadow,
-				CFI:         mc.cfi,
-				MaxExecs:    ScenarioExecs,
-				Profile:     profile,
-			}
-			out = append(out, harness.Scenario{
-				Name:  "fuzz/" + v.Name + "/" + cfg.MitLabel(),
-				Group: "fuzz",
-				Meta: map[string]string{
-					"victim":     v.Name,
-					"mitigation": cfg.MitLabel(),
-					"workload":   "fuzz-campaign",
-				},
-				Run: campaignTrial(cfg),
-			})
+			cfg := mc.config(v, ScenarioExecs, profile)
+			label := cfg.MitLabel()
+			out = append(out, campaignCell("fuzz/"+v.Name+"/"+label, "fuzz",
+				map[string]string{"victim": v.Name, "mitigation": label, "workload": "fuzz-campaign"},
+				cfg))
 		}
 	}
 	return out
@@ -159,35 +153,22 @@ func ProfileScenarios() []harness.Scenario {
 	for _, p := range layout.Profiles() {
 		for _, v := range Victims() {
 			for _, mc := range []mitConfig{{}, {canary: true}} {
-				cfg := Config{
-					Name:     v.Name,
-					Source:   v.Source,
-					Canary:   mc.canary,
-					MaxExecs: ProfileExecs,
-					Profile:  p.Name,
-				}
-				out = append(out, harness.Scenario{
-					Name:  "fuzzp/" + p.Name + "/" + v.Name + "/" + cfg.MitLabel(),
-					Group: "fuzzp",
-					Meta: map[string]string{
-						"victim":     v.Name,
-						"mitigation": cfg.MitLabel(),
-						"profile":    p.Name,
-						"workload":   "fuzz-campaign",
-					},
-					Run: campaignTrial(cfg),
-				})
+				cfg := mc.config(v, ProfileExecs, p.Name)
+				label := cfg.MitLabel()
+				out = append(out, campaignCell("fuzzp/"+p.Name+"/"+v.Name+"/"+label, "fuzzp",
+					map[string]string{"victim": v.Name, "mitigation": label, "profile": p.Name, "workload": "fuzz-campaign"},
+					cfg))
 			}
 		}
 	}
 	return out
 }
 
-// campaignTrial adapts one campaign config to a harness RunFunc: the
-// trial seed becomes the campaign seed, and the discovery outcome maps
-// to the harness outcome vocabulary.
-func campaignTrial(cfg Config) harness.RunFunc {
-	return func(t harness.Trial) harness.TrialResult {
+// campaignCell wraps one campaign config as a harness cell: the trial
+// seed becomes the campaign seed, and the discovery outcome maps to the
+// harness outcome vocabulary.
+func campaignCell(name, group string, meta map[string]string, cfg Config) harness.Scenario {
+	run := func(t harness.Trial) harness.TrialResult {
 		c := cfg
 		c.Seed = t.Seed
 		res, snap, err := RunCollected(c, t.Telemetry)
@@ -215,4 +196,5 @@ func campaignTrial(cfg Config) harness.RunFunc {
 			Telemetry: snap,
 		}
 	}
+	return harness.Scenario{Name: name, Group: group, Meta: meta, Run: run}
 }
