@@ -363,8 +363,10 @@ func BenchmarkT1Matrix(b *testing.B) {
 
 // BenchmarkTrialThroughput measures harness trials/sec at increasing
 // worker-pool widths — the scaling trajectory, not just single-run
-// latency. Each trial is a full T1 cell (compile, recon, link, load,
-// attack, classify) with a per-trial ASLR layout.
+// latency. Each trial is a cold T1 cell with a per-trial ASLR layout:
+// the build cache serves the compile, link and recon after the first
+// trial, so a trial is the load, the attack, the classification and the
+// release of the finished process.
 func BenchmarkTrialThroughput(b *testing.B) {
 	var spec core.AttackSpec
 	for _, a := range core.Attacks() {
@@ -378,6 +380,7 @@ func BenchmarkTrialThroughput(b *testing.B) {
 	widths = slices.Compact(widths)
 	for _, jobs := range widths {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			b.ReportAllocs()
 			rep := harness.Run([]harness.Scenario{sc},
 				harness.Options{Trials: b.N, Jobs: jobs, BaseSeed: 1})
 			if c := rep.Cells[0]; c.Errors > 0 {
@@ -438,31 +441,51 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkFullReload is the baseline reset: a fresh kernel.Load per
-// execution (link amortized, as a harness would). It doubles as the
-// lazy-cache-allocation guard: the quickstart victim runs front to back
-// without re-executing a single address, so the decode and block caches
-// must never allocate — the regression this pins cost a 30 → 55 µs/op
-// slide when the caches were allocated eagerly.
+// execution (link amortized, as a harness would). Two cases:
+//
+//   - dep: the lazy-cache-allocation guard. The quickstart victim runs
+//     front to back without re-executing a single address, so the decode
+//     and block caches must never allocate — the regression this pins
+//     cost a 30 → 55 µs/op slide when the caches were allocated eagerly.
+//   - aslr+canary: the kernel cold load of a reseeded sweep trial. Every
+//     execution draws a new ASLR layout and canary and releases the
+//     finished process, as a cold sweep trial does, so loads run on
+//     recycled pages.
 func BenchmarkFullReload(b *testing.B) {
 	ld := quickstartLinked(b)
 	in := kernel.ScriptInput{[]byte("hello")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *kernel.Process
-	for i := 0; i < b.N; i++ {
-		p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &in})
-		if err != nil {
-			b.Fatal(err)
+	b.Run("dep", func(b *testing.B) {
+		b.ReportAllocs()
+		var last *kernel.Process
+		for i := 0; i < b.N; i++ {
+			p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &in})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st := p.Run(); st != cpu.Exited {
+				b.Fatalf("state %v fault %v", st, p.CPU.Fault())
+			}
+			last = p
 		}
-		if st := p.Run(); st != cpu.Exited {
-			b.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		b.StopTimer()
+		if dc, bc := last.CPU.CacheFootprint(); dc || bc {
+			b.Fatalf("one-shot load allocated caches (decode=%v block=%v): lazy allocation regressed", dc, bc)
 		}
-		last = p
-	}
-	b.StopTimer()
-	if dc, bc := last.CPU.CacheFootprint(); dc || bc {
-		b.Fatalf("one-shot load allocated caches (decode=%v block=%v): lazy allocation regressed", dc, bc)
-	}
+	})
+	b.Run("aslr+canary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed := int64(i + 1)
+			p, err := kernel.Load(ld, kernel.Config{DEP: true, ASLR: true, ASLRSeed: seed, CanarySeed: seed, Input: &in})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st := p.Run(); st != cpu.Exited {
+				b.Fatalf("state %v fault %v", st, p.CPU.Fault())
+			}
+			p.Release()
+		}
+	})
 }
 
 // TestFullReloadStaysCacheFree is the benchmark guard as a plain test, so

@@ -77,7 +77,14 @@ func attackCell(name, group string, meta map[string]string, a AttackSpec, cfg Mi
 			if err != nil {
 				return harness.TrialResult{Err: err}
 			}
-			return trialResult(RunCollected(s, m, t.Telemetry))
+			r, snap, err := RunCollected(s, m, t.Telemetry)
+			res := trialResult(r, snap, err)
+			if r.Proc != nil {
+				// The victim is classified and its telemetry taken, and no
+				// caller sees r: recycle it for the next cold trial.
+				r.Proc.Release()
+			}
+			return res
 		},
 	}
 	if !perTrialSeeds || !warmReseeds(cfg) {

@@ -293,7 +293,7 @@ func (c *CPU) blockFor(pc uint32) *bcEntry {
 			// fetched twice): keep stepping, pay for nothing.
 			return nil
 		}
-		c.bcache = make([]bcEntry, bcacheSize)
+		c.bcache = recycled(&bcachePool, func(a *[bcacheSize]bcEntry) []bcEntry { return a[:] })
 	}
 	e := &c.bcache[pc&(bcacheSize-1)]
 	if e.tag == pc {

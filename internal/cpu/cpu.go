@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
 
 	"softsec/internal/isa"
 	"softsec/internal/mem"
@@ -358,6 +359,47 @@ func (c *CPU) ResetCaches() {
 	c.cacheMem = c.Mem
 }
 
+// Cache arrays handed back by released CPUs (see Release), held as
+// array pointers so Put does not allocate. A CPU that warms up takes its
+// arrays from here through recycled, which clears them: a stale entry's
+// code stamp may point into a page another process now owns, so
+// generation tags alone could not make a recycled entry safe to trust.
+var (
+	dcachePool sync.Pool // *[dcacheSize]dcEntry
+	bcachePool sync.Pool // *[bcacheSize]bcEntry
+	tcachePool sync.Pool // *[tcacheSize]tcEntry
+)
+
+// recycled returns a zeroed cache array: one taken from pool and
+// cleared, or a new one. entries views an array as the cache slice.
+func recycled[A any, E any](pool *sync.Pool, entries func(*A) []E) []E {
+	a, ok := pool.Get().(*A)
+	if !ok {
+		return entries(new(A))
+	}
+	s := entries(a)
+	clear(s)
+	return s
+}
+
+// Release hands the CPU's decode, block and trace cache arrays back for
+// reuse by CPUs that warm up later and leaves the caches empty, as
+// ResetCaches does. The caller must be done with the CPU's memory too:
+// Release is for a process that has finished for good (see
+// kernel.Process.Release).
+func (c *CPU) Release() {
+	if c.dcache != nil {
+		dcachePool.Put((*[dcacheSize]dcEntry)(c.dcache))
+	}
+	if c.bcache != nil {
+		bcachePool.Put((*[bcacheSize]bcEntry)(c.bcache))
+	}
+	if c.tcache != nil {
+		tcachePool.Put((*[tcacheSize]tcEntry)(c.tcache))
+	}
+	c.ResetCaches()
+}
+
 func (c *CPU) bindPolicy() {
 	c.bound = c.Policy
 	c.polEpoch++ // cached per-block policy summaries are for the old policy
@@ -524,7 +566,7 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 			}
 			return c.fetchSlow()
 		}
-		c.dcache = make([]dcEntry, dcacheSize)
+		c.dcache = recycled(&dcachePool, func(a *[dcacheSize]dcEntry) []dcEntry { return a[:] })
 	}
 	sgen := c.Mem.CodeGen()
 	e := &c.dcache[c.IP&(dcacheSize-1)]

@@ -454,7 +454,7 @@ func (c *CPU) finishRec() {
 		t.members[i].guarded = !t.members[i-1].fused
 	}
 	if c.tcache == nil {
-		c.tcache = make([]tcEntry, tcacheSize)
+		c.tcache = recycled(&tcachePool, func(a *[tcacheSize]tcEntry) []tcEntry { return a[:] })
 	}
 	s := &c.tcache[t.start&(tcacheSize-1)]
 	s.tag = t.start

@@ -189,15 +189,18 @@ const DefaultMaxSteps = 2_000_000
 const DefaultCanary = uint32(0x00AB1DE5)
 
 // CanaryValue returns the stack canary a process loaded with the given
-// CanarySeed receives: DefaultCanary for seed zero, otherwise a seeded
-// pseudorandom odd value. Exposed so seed-independent cached recon
-// results can be fixed up to the per-configuration canary without
-// re-running the reconnaissance load.
+// CanarySeed receives: DefaultCanary for seed zero, otherwise the first
+// Int63 of rand.NewSource(seed), forced odd (drawn from lazySource, which
+// yields the same stream without the full seeding). Exposed so
+// seed-independent cached recon results can be fixed up to the
+// per-configuration canary without re-running the reconnaissance load.
 func CanaryValue(seed int64) uint32 {
 	if seed == 0 {
 		return DefaultCanary
 	}
-	return uint32(rand.New(rand.NewSource(seed)).Int63()) | 1
+	var src lazySource
+	src.Seed(seed)
+	return uint32(src.Int63()) | 1
 }
 
 // Process is a loaded program plus its kernel-side state.
@@ -325,8 +328,9 @@ func Load(ld *Linked, cfg Config) (*Process, error) {
 	if cfg.ASLR {
 		// Like a real kernel, redraw until the randomized bases do not
 		// collide. The rng is seeded from ASLRSeed, so the accepted
-		// layout — including any redraws — is deterministic per seed.
-		rng := rand.New(rand.NewSource(cfg.ASLRSeed))
+		// layout — including any redraws — is deterministic per seed
+		// (and equal to a rand.NewSource(ASLRSeed) generator's).
+		rng := rand.New(newLazySource(cfg.ASLRSeed))
 		layout = RandomizedLayoutFor(rng, cfg.Profile)
 		for i := 0; i < 64 && !layoutFits(layout, ld); i++ {
 			layout = RandomizedLayoutFor(rng, cfg.Profile)
@@ -427,6 +431,24 @@ func (p *Process) RunUntil(addr uint32) cpu.State {
 	st := p.Run()
 	p.CPU.SetBreak(addr, false)
 	return st
+}
+
+// Release recycles a process that has finished for good: its address
+// space (pages, page tables, the Memory) and its CPU's decode, block and
+// trace caches go back to pools that later loads draw from, so a
+// reseeded cold trial does not pay for a fresh heap. p.Mem and p.CPU are
+// nil afterwards, so a stray use fails with a nil dereference instead of
+// reading memory another process now owns. A second Release does
+// nothing. Nothing else may hold the process's Mem or CPU.
+func (p *Process) Release() {
+	if p.CPU != nil {
+		p.CPU.Release()
+		p.CPU = nil
+	}
+	if p.Mem != nil {
+		p.Mem.Release()
+		p.Mem = nil
+	}
 }
 
 // MaxHeapBytes caps the heap segment, like RLIMIT_DATA: Sbrk beyond it

@@ -29,7 +29,10 @@
 // across snapshot restores that undo it.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PageSize is the granularity of mapping and protection, 4 KiB as on the
 // platforms the paper discusses.
@@ -167,16 +170,28 @@ type Memory struct {
 	// pattern of a fuzzing campaign allocates its heap pages exactly once.
 	// Recycling is safe for the code caches because releasing a page bumps
 	// its write generation, so any cached stamp into its previous life can
-	// never validate again.
+	// never validate again. The list is this Memory's alone: Unmap and
+	// Restore never hand a page to another address space (see Release).
 	free []*page
+	// tables holds the second-level tables of a released Memory for
+	// setPage to clear and reuse (see Release).
+	tables []*l2table
 
 	// stats, when non-nil, counts stamp bumps and restore traffic; see
 	// telemetry.go.
 	stats *Stats
 }
 
-// New returns an empty address space.
-func New() *Memory { return &Memory{} }
+// New returns an empty address space. When a finished process has
+// released one (see Release), New reuses it: its pages and tables come
+// along on the free lists, for Map to scrub and reuse.
+func New() *Memory {
+	if m, _ := memoryPool.Get().(*Memory); m != nil {
+		*m = Memory{free: m.free, tables: m.tables}
+		return m
+	}
+	return &Memory{}
+}
 
 // page translates addr to its page, consulting the translation cache
 // first. It returns nil for unmapped addresses.
@@ -212,7 +227,13 @@ func (m *Memory) pageAt(pn uint32) *page {
 func (m *Memory) setPage(pn uint32, p *page) {
 	t := m.l1[pn>>l2Bits]
 	if t == nil {
-		t = new(l2table)
+		if n := len(m.tables); n > 0 {
+			t = m.tables[n-1]
+			m.tables = m.tables[:n-1]
+			*t = l2table{}
+		} else {
+			t = new(l2table)
+		}
 		m.l1[pn>>l2Bits] = t
 	}
 	t[pn&l2Mask] = p
@@ -254,7 +275,9 @@ func (m *Memory) CodeStamp(addr uint32) (*uint64, uint64) {
 const maxFreePages = 512
 
 // allocPage returns a fresh zeroed page with the given permissions,
-// recycling from the page pool when possible.
+// recycling from the page pool when possible. A recycled page is scrubbed
+// here: zero bytes, and seq 0, because a stale checkpoint epoch would
+// make the page look already saved to this Memory's checkpoint.
 func (m *Memory) allocPage(perm Perm) *page {
 	if n := len(m.free); n > 0 {
 		p := m.free[n-1]
@@ -276,6 +299,42 @@ func (m *Memory) releasePage(p *page) {
 	if len(m.free) < maxFreePages {
 		m.free = append(m.free, p)
 	}
+}
+
+// memoryPool holds released address spaces (see Release), shared by
+// every goroutine in the program. Only Release feeds it: a page Unmap or
+// Restore retires stays on its own Memory's free list, because the live
+// CPU over that Memory may still compare a stale code stamp against it,
+// and that read must never meet a page another goroutine is writing.
+// New, allocPage and setPage scrub what they take from a released Memory
+// — the Memory is cleared, a page is zeroed with seq 0, a table is
+// cleared — so nothing of a previous owner is ever visible.
+var memoryPool sync.Pool // *Memory
+
+// Release hands the address space back for reuse by the next New: every
+// mapped page moves to the free list (up to maxFreePages), every
+// second-level table to the table list, and the Memory enters the pool,
+// so one pool operation recycles the whole space. Each page's write
+// generation is bumped on the way out — directly, so a stats sink does
+// not count it — and no code stamp taken from m validates again. The
+// caller must own m outright and drop every reference to it: nothing may
+// touch m, or a CPU built over it, after Release.
+func (m *Memory) Release() {
+	for _, t := range m.l1 {
+		if t == nil {
+			continue
+		}
+		for _, p := range t {
+			if p != nil {
+				p.wgen++
+				if len(m.free) < maxFreePages {
+					m.free = append(m.free, p)
+				}
+			}
+		}
+		m.tables = append(m.tables, t)
+	}
+	memoryPool.Put(m)
 }
 
 // Map maps [addr, addr+size) with the given permissions. addr and size must
