@@ -1,0 +1,84 @@
+//go:build !race
+
+package softsec
+
+import (
+	"testing"
+
+	"softsec/internal/cpu"
+	"softsec/internal/kernel"
+)
+
+// Machine-invariant allocation gates for the process lifecycle: the
+// per-trial allocation counts of a cold load on recycled storage, a
+// snapshot restore, and a fresh load. Unlike wall time they do not
+// depend on the machine, so they are pinned exactly at their measured
+// values. The file is excluded under -race: the race detector makes
+// sync.Pool drop items on purpose, so recycled storage is not recycled
+// there.
+
+// TestAllocsColdLoadRecycled pins a reseeded cold trial — Load with a
+// fresh ASLR layout and canary, Run, Release — on storage released by
+// the trial before it (BenchmarkFullReload/aslr+canary).
+func TestAllocsColdLoadRecycled(t *testing.T) {
+	ld := quickstartLinked(t)
+	in := kernel.ScriptInput{[]byte("hello")}
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		seed++
+		p, err := kernel.Load(ld, kernel.Config{DEP: true, ASLR: true, ASLRSeed: seed, CanarySeed: seed, Input: &in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Run(); st != cpu.Exited {
+			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		}
+		p.Release()
+	})
+	if allocs > 8 {
+		t.Fatalf("cold load on recycled storage: %v allocs per trial, gate is 8", allocs)
+	}
+}
+
+// TestAllocsSnapshotRestore pins the warm trial: Run to completion, then
+// Restore to the post-Load snapshot (BenchmarkSnapshotRestore).
+func TestAllocsSnapshotRestore(t *testing.T) {
+	ld := quickstartLinked(t)
+	in := kernel.ScriptInput{[]byte("hello")}
+	p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	allocs := testing.AllocsPerRun(200, func() {
+		if st := p.Run(); st != cpu.Exited {
+			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		}
+		if err := p.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("snapshot restore + run: %v allocs per trial, gate is 3", allocs)
+	}
+}
+
+// TestAllocsFullReload pins a fresh load that is never released
+// (BenchmarkFullReload/dep): every page, table and the Memory itself
+// are new, and the one-shot run allocates no code cache.
+func TestAllocsFullReload(t *testing.T) {
+	ld := quickstartLinked(t)
+	in := kernel.ScriptInput{[]byte("hello")}
+	allocs := testing.AllocsPerRun(50, func() {
+		p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Run(); st != cpu.Exited {
+			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		}
+	})
+	if allocs > 28 {
+		t.Fatalf("full reload: %v allocs per trial, gate is 28", allocs)
+	}
+}

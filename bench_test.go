@@ -402,7 +402,7 @@ void main() {
 	write(1, buf, 5);
 }`
 
-func quickstartLinked(b *testing.B) *kernel.Linked {
+func quickstartLinked(b testing.TB) *kernel.Linked {
 	b.Helper()
 	img, err := minc.Compile("victim", quickstartVictim, minc.Options{})
 	if err != nil {

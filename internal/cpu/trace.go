@@ -72,13 +72,13 @@ const (
 // TraceStats counts trace-tier activity when installed on a CPU, the
 // trace-side analogue of BlockStats. Nil costs the dispatch path nothing.
 type TraceStats struct {
-	Formed     uint64 // traces recorded and installed in the cache
-	Aborts     uint64 // recordings abandoned (too short, unstable, refused)
-	Dispatches uint64 // trace cache hits entering superblock execution
+	Formed      uint64 // traces recorded and installed in the cache
+	Aborts      uint64 // recordings abandoned (too short, unstable, refused)
+	Dispatches  uint64 // trace cache hits entering superblock execution
 	Completions uint64 // full passes over a trace's member chain
-	LoopBacks  uint64 // loop traces re-entering themselves without re-dispatch
-	SideExits  uint64 // branch-direction guard misses (exit to block cache)
-	StaleExits uint64 // member stamp guard misses (trace invalidated)
+	LoopBacks   uint64 // loop traces re-entering themselves without re-dispatch
+	SideExits   uint64 // branch-direction guard misses (exit to block cache)
+	StaleExits  uint64 // member stamp guard misses (trace invalidated)
 	// MemberInstrs sums len(ins) over all members of formed traces;
 	// MemberInstrs/Formed is the mean superblock length in instructions.
 	MemberInstrs uint64
