@@ -167,15 +167,18 @@ type BlockStats struct {
 }
 
 // bcEntry is one block-cache slot. Validity mirrors the decode cache —
-// tag, structural generation, span write stamps — plus the policy epoch
-// the block's summary was computed under. A slot whose tag matches but
-// whose block is empty is a pc in the hotness gate: heat counts step
-// visits, and the block is built when heat reaches blockHeat.
+// tag, array epoch, structural generation, span write stamps — plus the
+// policy epoch the block's summary was computed under. A slot whose tag
+// matches but whose block is empty is a pc in the hotness gate: heat
+// counts step visits, and the block is built when heat reaches
+// blockHeat. A slot of an earlier array epoch is reset to empty on its
+// first probe, keeping only its blk.ins storage.
 type bcEntry struct {
-	tag  uint32
-	sgen uint64
-	pe   uint32
-	heat uint8
+	tag   uint32
+	epoch uint32
+	sgen  uint64
+	pe    uint32
+	heat  uint8
 	// exe counts dispatches of the built block (saturating) — the
 	// edge-hotness signal the trace recorder keys on.
 	exe uint8
@@ -293,9 +296,14 @@ func (c *CPU) blockFor(pc uint32) *bcEntry {
 			// fetched twice): keep stepping, pay for nothing.
 			return nil
 		}
-		c.bcache = recycled(&bcachePool, func(a *[bcacheSize]bcEntry) []bcEntry { return a[:] })
+		c.bcache = take[bcEntry](&bcachePool, bcacheSize)
 	}
-	e := &c.bcache[pc&(bcacheSize-1)]
+	e := &c.bcache.ents[pc&(bcacheSize-1)]
+	if e.epoch != c.bcache.epoch {
+		// Left by a previous owner of the array: an empty slot, whose
+		// stamps must not be read.
+		*e = bcEntry{epoch: c.bcache.epoch, blk: Block{ins: e.blk.ins[:0]}}
+	}
 	if e.tag == pc {
 		if len(e.blk.ins) > 0 {
 			if e.pe == c.polEpoch && c.blockValid(e) {

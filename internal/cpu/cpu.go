@@ -200,22 +200,25 @@ const (
 )
 
 // dcEntry is one decode-cache slot. An entry is valid for address a iff
-// tag == a, sgen equals the memory's current structural code generation
-// (mem.CodeGen), the write stamps of the page(s) the instruction's bytes
-// span are unchanged (*w0 == g0, and *w1 == g1 when the instruction
-// crosses a page boundary), and in.Size is non-zero (zero Size marks a
-// never-filled slot, since no real instruction decodes to zero bytes).
-// Structural events — Map, Unmap, Protect — invalidate every entry at
-// once; content writes that could change code invalidate only the
-// entries spanning the written page (mem.CodeStamp).
+// tag == a, epoch equals its array's epoch (see codeArray; checked
+// before anything else, so a stamp left by a previous owner is never
+// read), sgen equals the memory's current structural code generation
+// (mem.CodeGen), and the write stamps of the page(s) the instruction's
+// bytes span are unchanged (*w0 == g0, and *w1 == g1 when the
+// instruction crosses a page boundary). Only a successful decode fills
+// an entry, so an entry of the current epoch is never empty.
+// Permission changes and unmapping invalidate the entries over the
+// pages they touch, as do content writes that could change code
+// (mem.CodeStamp).
 type dcEntry struct {
-	tag  uint32
-	sgen uint64
-	w0   *uint64
-	g0   uint64
-	w1   *uint64 // nil unless the instruction crosses a page boundary
-	g1   uint64
-	in   isa.Instr
+	tag   uint32
+	epoch uint32
+	sgen  uint64
+	w0    *uint64
+	g0    uint64
+	w1    *uint64 // nil unless the instruction crosses a page boundary
+	g1    uint64
+	in    isa.Instr
 }
 
 // CPU is one SM32 hardware thread. Create with New; the zero value is not
@@ -284,16 +287,16 @@ type CPU struct {
 	// no matter which engine tier was requested.
 	Prof *Profiler
 
-	// dcache is the decoded-instruction cache, allocated on the first
+	// dcache is the decoded-instruction cache, taken on the first
 	// warm-up trip (a refetched address — see warmTags).
-	dcache []dcEntry
-	// bcache is the basic-block cache, allocated on the first block
+	dcache *codeArray[dcEntry]
+	// bcache is the basic-block cache, taken on the first block
 	// dispatch after the warm-up trip.
-	bcache []bcEntry
-	// tcache is the trace (superblock) cache, allocated on the first
+	bcache *codeArray[bcEntry]
+	// tcache is the trace (superblock) cache, taken on the first
 	// successful trace formation; rec is the armed trace recorder
 	// (trace.go).
-	tcache []tcEntry
+	tcache *codeArray[tcEntry]
 	rec    traceRec
 	// warmTags is the pre-cache hotness probe: a direct-mapped table of
 	// recently fetched instruction addresses, consulted only while
@@ -359,27 +362,53 @@ func (c *CPU) ResetCaches() {
 	c.cacheMem = c.Mem
 }
 
-// Cache arrays handed back by released CPUs (see Release), held as
-// array pointers so Put does not allocate. A CPU that warms up takes its
-// arrays from here through recycled, which clears them: a stale entry's
-// code stamp may point into a page another process now owns, so
-// generation tags alone could not make a recycled entry safe to trust.
+// codeArray is one decode, block or trace cache array together with its
+// epoch. Every entry records the epoch it was filled under, and an entry
+// of any other epoch is an empty slot: the probes compare the epoch
+// before they dereference any stamp pointer, so a stamp a previous owner
+// left — possibly pointing into a page another worker now owns — is
+// never read. Taking a recycled array therefore costs an epoch increment
+// instead of a clear; only when the epoch wraps to zero, once in 2^32
+// takes of one array, is the array cleared. A new array starts at epoch
+// 1, so its zero entries are empty too. The epoch lives here, beside the
+// array rather than in a header of it, which would round each large
+// array up by a whole page of allocation.
+type codeArray[E any] struct {
+	ents  []E
+	epoch uint32
+}
+
+// newArray returns a new array of n empty entries.
+func newArray[E any](n int) *codeArray[E] {
+	return &codeArray[E]{ents: make([]E, n), epoch: 1}
+}
+
+// recycle moves a to its next epoch, emptying every entry: what a take
+// from the pool does to a released array.
+func (a *codeArray[E]) recycle() *codeArray[E] {
+	if a.epoch++; a.epoch == 0 {
+		clear(a.ents)
+		a.epoch = 1
+	}
+	return a
+}
+
+// Cache arrays handed back by released CPUs (see Release). A CPU that
+// warms up takes its arrays from here through take, which recycles
+// them.
 var (
-	dcachePool sync.Pool // *[dcacheSize]dcEntry
-	bcachePool sync.Pool // *[bcacheSize]bcEntry
-	tcachePool sync.Pool // *[tcacheSize]tcEntry
+	dcachePool sync.Pool // *codeArray[dcEntry]
+	bcachePool sync.Pool // *codeArray[bcEntry]
+	tcachePool sync.Pool // *codeArray[tcEntry]
 )
 
-// recycled returns a zeroed cache array: one taken from pool and
-// cleared, or a new one. entries views an array as the cache slice.
-func recycled[A any, E any](pool *sync.Pool, entries func(*A) []E) []E {
-	a, ok := pool.Get().(*A)
-	if !ok {
-		return entries(new(A))
+// take returns an array of n empty entries: a released one from pool,
+// recycled, or a new one.
+func take[E any](pool *sync.Pool, n int) *codeArray[E] {
+	if a, ok := pool.Get().(*codeArray[E]); ok {
+		return a.recycle()
 	}
-	s := entries(a)
-	clear(s)
-	return s
+	return newArray[E](n)
 }
 
 // Release hands the CPU's decode, block and trace cache arrays back for
@@ -389,13 +418,13 @@ func recycled[A any, E any](pool *sync.Pool, entries func(*A) []E) []E {
 // kernel.Process.Release).
 func (c *CPU) Release() {
 	if c.dcache != nil {
-		dcachePool.Put((*[dcacheSize]dcEntry)(c.dcache))
+		dcachePool.Put(c.dcache)
 	}
 	if c.bcache != nil {
-		bcachePool.Put((*[bcacheSize]bcEntry)(c.bcache))
+		bcachePool.Put(c.bcache)
 	}
 	if c.tcache != nil {
-		tcachePool.Put((*[tcacheSize]tcEntry)(c.tcache))
+		tcachePool.Put(c.tcache)
 	}
 	c.ResetCaches()
 }
@@ -566,11 +595,12 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 			}
 			return c.fetchSlow()
 		}
-		c.dcache = recycled(&dcachePool, func(a *[dcacheSize]dcEntry) []dcEntry { return a[:] })
+		c.dcache = take[dcEntry](&dcachePool, dcacheSize)
 	}
 	sgen := c.Mem.CodeGen()
-	e := &c.dcache[c.IP&(dcacheSize-1)]
-	if e.tag == c.IP && e.sgen == sgen && e.in.Size != 0 &&
+	epoch := c.dcache.epoch
+	e := &c.dcache.ents[c.IP&(dcacheSize-1)]
+	if e.tag == c.IP && e.epoch == epoch && e.sgen == sgen &&
 		*e.w0 == e.g0 && (e.w1 == nil || *e.w1 == e.g1) {
 		if c.DecodeStats != nil {
 			c.DecodeStats.Hits++
@@ -582,7 +612,7 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 	}
 	in, ok := c.fetchSlow()
 	if ok {
-		*e = dcEntry{tag: c.IP, sgen: sgen, in: in}
+		*e = dcEntry{tag: c.IP, epoch: epoch, sgen: sgen, in: in}
 		e.w0, e.g0 = c.Mem.CodeStamp(c.IP)
 		if last := c.IP + uint32(in.Size) - 1; last/mem.PageSize != c.IP/mem.PageSize {
 			e.w1, e.g1 = c.Mem.CodeStamp(last)
@@ -611,8 +641,8 @@ func (c *CPU) CacheFootprint() (decodeCache, blockCache bool) {
 	return c.dcache != nil, c.bcache != nil
 }
 
-// fetchSlow reads and decodes the instruction at IP from memory, with a
-// per-byte X permission check, converting failures into CPU faults.
+// fetchSlow reads and decodes the instruction at IP from memory, with X
+// permission checks (see decodeAt), converting failures into CPU faults.
 func (c *CPU) fetchSlow() (isa.Instr, bool) {
 	in, err := c.decodeAt(c.IP)
 	if err != nil {
@@ -626,22 +656,24 @@ func (c *CPU) fetchSlow() (isa.Instr, bool) {
 	return in, true
 }
 
-// decodeAt reads and decodes the instruction at pc with per-byte X
-// permission checks, reporting failures as errors (a *isa.DecodeErr or
-// the underlying memory fault) without touching CPU fault state — the
-// block builder probes ahead with it.
+// decodeAt reads and decodes the instruction at pc with X permission
+// checks, reporting failures as errors (a *isa.DecodeErr or the
+// underlying memory fault) without touching CPU fault state — the block
+// builder probes ahead with it. The bytes on pc's page come from one
+// translation and one check (mem.FetchSpan); only the bytes of a
+// page-crossing instruction beyond the page end are fetched one by one,
+// so every fault kind and address is that of a per-byte fetch.
 func (c *CPU) decodeAt(pc uint32) (isa.Instr, error) {
-	b0, err := c.Mem.Fetch8(pc)
+	var buf [6]byte
+	k, err := c.Mem.FetchSpan(pc, buf[:])
 	if err != nil {
 		return isa.Instr{}, err
 	}
-	n, ok := isa.LenFromOpcode(b0)
+	n, ok := isa.LenFromOpcode(buf[0])
 	if !ok {
-		return isa.Instr{}, &isa.DecodeErr{Addr: pc, Opcode: b0}
+		return isa.Instr{}, &isa.DecodeErr{Addr: pc, Opcode: buf[0]}
 	}
-	var buf [6]byte
-	buf[0] = b0
-	for i := 1; i < n; i++ {
+	for i := k; i < n; i++ {
 		bi, err := c.Mem.Fetch8(pc + uint32(i))
 		if err != nil {
 			return isa.Instr{}, err

@@ -169,10 +169,12 @@ type trace struct {
 	members    []tmember
 }
 
-// tcEntry is one trace-cache slot.
+// tcEntry is one trace-cache slot. Like a dcEntry it is valid only
+// under its array's epoch; a slot of another epoch is empty.
 type tcEntry struct {
-	tag uint32
-	tr  *trace
+	tag   uint32
+	epoch uint32
+	tr    *trace
 }
 
 // traceRec is the armed recorder: the chain of block entry pcs observed
@@ -201,9 +203,9 @@ func (c *CPU) traceFor(pc uint32) *trace {
 	if c.tcache == nil {
 		return nil
 	}
-	e := &c.tcache[pc&(tcacheSize-1)]
+	e := &c.tcache.ents[pc&(tcacheSize-1)]
 	t := e.tr
-	if t == nil || e.tag != pc {
+	if t == nil || e.tag != pc || e.epoch != c.tcache.epoch {
 		return nil
 	}
 	if t.sgen != c.Mem.CodeGen() || t.pe != c.polEpoch {
@@ -220,16 +222,16 @@ func (c *CPU) traceCached(pc uint32) bool {
 	if c.tcache == nil {
 		return false
 	}
-	e := &c.tcache[pc&(tcacheSize-1)]
-	return e.tag == pc && e.tr != nil
+	e := &c.tcache.ents[pc&(tcacheSize-1)]
+	return e.tag == pc && e.epoch == c.tcache.epoch && e.tr != nil
 }
 
 // killTrace removes t from the cache: one of its members went stale
 // under it (self-modifying code, a rolled-back page). The chain re-forms
 // from fresh bytes if it re-heats.
 func (c *CPU) killTrace(t *trace) {
-	e := &c.tcache[t.start&(tcacheSize-1)]
-	if e.tr == t {
+	e := &c.tcache.ents[t.start&(tcacheSize-1)]
+	if e.epoch == c.tcache.epoch && e.tr == t {
 		e.tr = nil
 	}
 	if c.Events != nil {
@@ -454,11 +456,9 @@ func (c *CPU) finishRec() {
 		t.members[i].guarded = !t.members[i-1].fused
 	}
 	if c.tcache == nil {
-		c.tcache = recycled(&tcachePool, func(a *[tcacheSize]tcEntry) []tcEntry { return a[:] })
+		c.tcache = take[tcEntry](&tcachePool, tcacheSize)
 	}
-	s := &c.tcache[t.start&(tcacheSize-1)]
-	s.tag = t.start
-	s.tr = t
+	c.tcache.ents[t.start&(tcacheSize-1)] = tcEntry{tag: t.start, epoch: c.tcache.epoch, tr: t}
 	if st := c.TraceStats; st != nil {
 		st.Formed++
 		st.LenHist[len(t.members)]++

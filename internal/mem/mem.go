@@ -31,6 +31,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -122,6 +123,12 @@ func (f *Fault) Error() string {
 type page struct {
 	data [PageSize]byte
 	perm Perm
+	// dirty records that data may hold a non-zero byte: every content
+	// write sets it (through touch, or directly on Restore's and Clone's
+	// whole-page copies). allocPage zeroes a recycled page only when it
+	// is set, so a page that was mapped but never written — most of a
+	// stack — is reused without a 4 KiB clear.
+	dirty bool
 	// seq stamps the checkpoint epoch this page was last saved under
 	// (see snapshot.go); zero means never saved.
 	seq uint64
@@ -142,12 +149,21 @@ type page struct {
 	dlo, dhi uint32
 }
 
-type l2table [l2Size]*page
+// l2table is a second-level page table. used is its occupancy bitmap —
+// bit i is set iff pages[i] is non-nil — so Release and the in-order
+// walks visit mapped pages only, not all 1024 slots.
+type l2table struct {
+	pages [l2Size]*page
+	used  [l2Size / 64]uint64
+}
 
 // Memory is a sparse paged 32-bit address space. The zero value is an
 // empty address space ready to use.
 type Memory struct {
-	l1     [l1Size]*l2table
+	l1 [l1Size]*l2table
+	// l1used is the occupancy bitmap of l1: bit i is set iff l1[i] holds
+	// a table.
+	l1used [l1Size / 64]uint64
 	npages int
 
 	// gen is the code generation counter; see CodeGen.
@@ -173,8 +189,8 @@ type Memory struct {
 	// never validate again. The list is this Memory's alone: Unmap and
 	// Restore never hand a page to another address space (see Release).
 	free []*page
-	// tables holds the second-level tables of a released Memory for
-	// setPage to clear and reuse (see Release).
+	// tables holds the emptied second-level tables of a released Memory
+	// for setPage to reuse (see Release).
 	tables []*l2table
 
 	// stats, when non-nil, counts stamp bumps and restore traffic; see
@@ -184,13 +200,23 @@ type Memory struct {
 
 // New returns an empty address space. When a finished process has
 // released one (see Release), New reuses it: its pages and tables come
-// along on the free lists, for Map to scrub and reuse.
+// along on the free lists, for Map to reuse. Release left its page
+// tables empty, so only the scalar state is reset here.
 func New() *Memory {
 	if m, _ := memoryPool.Get().(*Memory); m != nil {
-		*m = Memory{free: m.free, tables: m.tables}
+		m.reset()
 		return m
 	}
 	return &Memory{}
+}
+
+// reset returns a Memory emptied by unmapAll to the state of a new one,
+// keeping its free page and table lists.
+func (m *Memory) reset() {
+	m.npages, m.gen = 0, 0
+	m.lastPN, m.lastPage = 0, nil
+	m.snap, m.snapSeq = nil, 0
+	m.stats = nil
 }
 
 // page translates addr to its page, consulting the translation cache
@@ -208,7 +234,7 @@ func (m *Memory) pageSlow(pn uint32) *page {
 	if t == nil {
 		return nil
 	}
-	p := t[pn&l2Mask]
+	p := t.pages[pn&l2Mask]
 	if p != nil {
 		m.lastPN, m.lastPage = pn, p
 	}
@@ -221,22 +247,48 @@ func (m *Memory) pageAt(pn uint32) *page {
 	if t == nil {
 		return nil
 	}
-	return t[pn&l2Mask]
+	return t.pages[pn&l2Mask]
 }
 
+// setPage installs p at page number pn, or removes the page there when p
+// is nil, keeping both occupancy bitmaps current. A table taken from the
+// released list is already empty (see Release).
 func (m *Memory) setPage(pn uint32, p *page) {
-	t := m.l1[pn>>l2Bits]
+	hi, lo := pn>>l2Bits, pn&l2Mask
+	t := m.l1[hi]
 	if t == nil {
 		if n := len(m.tables); n > 0 {
 			t = m.tables[n-1]
 			m.tables = m.tables[:n-1]
-			*t = l2table{}
 		} else {
 			t = new(l2table)
 		}
-		m.l1[pn>>l2Bits] = t
+		m.l1[hi] = t
+		m.l1used[hi/64] |= 1 << (hi % 64)
 	}
-	t[pn&l2Mask] = p
+	t.pages[lo] = p
+	if p != nil {
+		t.used[lo/64] |= 1 << (lo % 64)
+	} else {
+		t.used[lo/64] &^= 1 << (lo % 64)
+	}
+}
+
+// eachPage calls f for every mapped page in address order, walking the
+// occupancy bitmaps.
+func (m *Memory) eachPage(f func(pn uint32, p *page)) {
+	for wi, w := range m.l1used {
+		for ; w != 0; w &= w - 1 {
+			hi := uint32(wi*64 + bits.TrailingZeros64(w))
+			t := m.l1[hi]
+			for wj, u := range t.used {
+				for ; u != 0; u &= u - 1 {
+					lo := uint32(wj*64 + bits.TrailingZeros64(u))
+					f(hi<<l2Bits|lo, t.pages[lo])
+				}
+			}
+		}
+	}
 }
 
 // CodeGen returns the structural code generation: the address-space
@@ -276,14 +328,18 @@ const maxFreePages = 512
 
 // allocPage returns a fresh zeroed page with the given permissions,
 // recycling from the page pool when possible. A recycled page is scrubbed
-// here: zero bytes, and seq 0, because a stale checkpoint epoch would
-// make the page look already saved to this Memory's checkpoint.
+// here: zero bytes — cleared only if the page was ever written — and
+// seq 0, because a stale checkpoint epoch would make the page look
+// already saved to this Memory's checkpoint.
 func (m *Memory) allocPage(perm Perm) *page {
 	if n := len(m.free); n > 0 {
 		p := m.free[n-1]
 		m.free[n-1] = nil
 		m.free = m.free[:n-1]
-		p.data = [PageSize]byte{}
+		if p.dirty {
+			p.data = [PageSize]byte{}
+			p.dirty = false
+		}
 		p.perm = perm
 		p.seq = 0
 		return p
@@ -306,35 +362,52 @@ func (m *Memory) releasePage(p *page) {
 // Restore retires stays on its own Memory's free list, because the live
 // CPU over that Memory may still compare a stale code stamp against it,
 // and that read must never meet a page another goroutine is writing.
-// New, allocPage and setPage scrub what they take from a released Memory
-// — the Memory is cleared, a page is zeroed with seq 0, a table is
-// cleared — so nothing of a previous owner is ever visible.
+// Nothing of a previous owner is ever visible: Release leaves the page
+// tables empty, New resets the Memory's scalar state, and allocPage
+// hands out a page zeroed (when it was written) with seq 0.
 var memoryPool sync.Pool // *Memory
 
 // Release hands the address space back for reuse by the next New: every
 // mapped page moves to the free list (up to maxFreePages), every
 // second-level table to the table list, and the Memory enters the pool,
-// so one pool operation recycles the whole space. Each page's write
+// so one pool operation recycles the whole space. Release walks the
+// occupancy bitmaps, so its cost follows the mapped pages, and it nils
+// every page slot and l1 slot it empties: the tables and the Memory go
+// back empty, with nothing left to clear on reuse. Each page's write
 // generation is bumped on the way out — directly, so a stats sink does
 // not count it — and no code stamp taken from m validates again. The
 // caller must own m outright and drop every reference to it: nothing may
 // touch m, or a CPU built over it, after Release.
 func (m *Memory) Release() {
-	for _, t := range m.l1 {
-		if t == nil {
-			continue
-		}
-		for _, p := range t {
-			if p != nil {
-				p.wgen++
-				if len(m.free) < maxFreePages {
-					m.free = append(m.free, p)
-				}
-			}
-		}
-		m.tables = append(m.tables, t)
-	}
+	m.unmapAll()
 	memoryPool.Put(m)
+}
+
+// unmapAll is Release without the pool: it moves every page to the free
+// list and every table to the table list, leaving l1 and the tables
+// empty. The scalar state is left for reset.
+func (m *Memory) unmapAll() {
+	for wi, w := range m.l1used {
+		for ; w != 0; w &= w - 1 {
+			hi := wi*64 + bits.TrailingZeros64(w)
+			t := m.l1[hi]
+			for wj, u := range t.used {
+				for ; u != 0; u &= u - 1 {
+					lo := wj*64 + bits.TrailingZeros64(u)
+					p := t.pages[lo]
+					t.pages[lo] = nil
+					p.wgen++
+					if len(m.free) < maxFreePages {
+						m.free = append(m.free, p)
+					}
+				}
+				t.used[wj] = 0
+			}
+			m.l1[hi] = nil
+			m.tables = append(m.tables, t)
+		}
+		m.l1used[wi] = 0
+	}
 }
 
 // Map maps [addr, addr+size) with the given permissions. addr and size must
@@ -480,6 +553,20 @@ func (m *Memory) Fetch8(addr uint32) (byte, error) {
 		return 0, err
 	}
 	return p.data[addr&PageMask], nil
+}
+
+// FetchSpan reads instruction stream into dst with one translation and
+// one X permission check: it copies the bytes from addr up to len(dst)
+// or the end of addr's page, whichever comes first, and returns how many
+// it copied. The fault, if any, is the one Fetch8(addr) reports. Bytes
+// past the page end need a Fetch8 each, so a fault there names the
+// exact byte.
+func (m *Memory) FetchSpan(addr uint32, dst []byte) (int, error) {
+	p, err := m.check(addr, X)
+	if err != nil {
+		return 0, err
+	}
+	return copy(dst, p.data[addr&PageMask:]), nil
 }
 
 // Read32 reads a little-endian 32-bit word. The access may cross a page
@@ -697,31 +784,24 @@ type Region struct {
 // pages with identical permissions. Used by the figure renderer and by the
 // memory-scraping attacker, which walks exactly this view of the address
 // space. The two-level table is walked in index order, which is address
-// order — no sorting pass.
+// order — no sorting pass — through the occupancy bitmaps, so only
+// mapped pages are visited.
 func (m *Memory) Regions() []Region {
 	if m.npages == 0 {
 		return nil
 	}
 	var out []Region
-	for hi, t := range m.l1 {
-		if t == nil {
-			continue
-		}
-		for lo, p := range t {
-			if p == nil {
-				continue
+	m.eachPage(func(pn uint32, p *page) {
+		addr := pn << pageShift
+		if len(out) > 0 {
+			last := &out[len(out)-1]
+			if last.Addr+last.Size == addr && last.Perm == p.perm {
+				last.Size += PageSize
+				return
 			}
-			addr := (uint32(hi)<<l2Bits | uint32(lo)) << pageShift
-			if len(out) > 0 {
-				last := &out[len(out)-1]
-				if last.Addr+last.Size == addr && last.Perm == p.perm {
-					last.Size += PageSize
-					continue
-				}
-			}
-			out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 		}
-	}
+		out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
+	})
 	return out
 }
 
@@ -731,19 +811,10 @@ func (m *Memory) Regions() []Region {
 // independently of the original's, and it carries no active checkpoint.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{npages: m.npages, gen: m.gen}
-	for hi, t := range m.l1 {
-		if t == nil {
-			continue
-		}
-		nt := new(l2table)
-		c.l1[hi] = nt
-		for lo, p := range t {
-			if p != nil {
-				np := &page{perm: p.perm}
-				np.data = p.data
-				nt[lo] = np
-			}
-		}
-	}
+	m.eachPage(func(pn uint32, p *page) {
+		np := &page{perm: p.perm, dirty: true}
+		np.data = p.data
+		c.setPage(pn, np)
+	})
 	return c
 }

@@ -63,7 +63,7 @@ func TestReleaseScrubsPages(t *testing.T) {
 		old := map[*page]bool{}
 		for _, tab := range m.l1 {
 			if tab != nil {
-				for _, p := range tab {
+				for _, p := range tab.pages {
 					old[p] = p != nil
 				}
 			}

@@ -113,6 +113,7 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 				m.setPage(pn, cur)
 				m.npages++
 				cur.data = u.data
+				cur.dirty = true
 				cur.perm = u.perm
 				cur.seq = 0
 				m.bumpStamp(cur)
@@ -127,6 +128,9 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 			// traces over it warm across the reset.
 			if cur.dlo < cur.dhi {
 				copy(cur.data[cur.dlo:cur.dhi], u.data[cur.dlo:cur.dhi])
+				// A page Map created over an unmapped checkpoint page
+				// claims the whole span without a write: mark it here.
+				cur.dirty = true
 				// The rollback rewrote this page's bytes: decodes cached
 				// against the mutated-run content must not survive.
 				m.bumpStamp(cur)
@@ -238,11 +242,13 @@ func (cp *Checkpoint) saveAbsent(pn uint32) {
 }
 
 // touch is the hot-path hook every page content mutation goes through,
-// announcing a write of n bytes at addr: a nil test when no checkpoint
-// is active, and a dirty-span extension when one is (the first touch per
+// announcing a write of n bytes at addr. It marks the page dirty (see
+// allocPage); past that it costs a nil test when no checkpoint is
+// active, and a dirty-span extension when one is (the first touch per
 // cycle additionally saves the page). The span is what lets Restore copy
 // back only the bytes a run actually wrote.
 func (m *Memory) touch(addr, n uint32, p *page) {
+	p.dirty = true
 	if m.snap == nil {
 		return
 	}
