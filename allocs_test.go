@@ -3,9 +3,11 @@
 package softsec
 
 import (
+	"runtime"
 	"testing"
 
 	"softsec/internal/cpu"
+	"softsec/internal/fuzz"
 	"softsec/internal/kernel"
 )
 
@@ -80,5 +82,35 @@ func TestAllocsFullReload(t *testing.T) {
 	})
 	if allocs > 28 {
 		t.Fatalf("full reload: %v allocs per trial, gate is 28", allocs)
+	}
+}
+
+// TestAllocsFuzzCampaignReleased checks that a finished fuzz campaign
+// hands its victim back (fuzz.RunCollected releases it): repeated
+// identical campaigns then reuse the victim's pages and code-cache
+// arrays, so the heap allocated per campaign stays below the size of one
+// decode-cache array (4096 entries of 56 bytes) — a campaign that
+// allocated its caches anew would pay that and the block cache on top.
+func TestAllocsFuzzCampaignReleased(t *testing.T) {
+	const decodeArrayBytes = 4096 * 56
+	v := fuzz.Victims()[0]
+	cfg := fuzz.Config{Name: v.Name, Source: v.Source, Seed: 1, MaxExecs: 200}
+	campaign := func() {
+		if _, _, err := fuzz.RunCollected(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	campaign() // the build caches and the pools fill here
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		campaign()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes per campaign", per)
+	if per >= decodeArrayBytes {
+		t.Fatalf("fuzz campaign allocates %d bytes, gate is one decode-cache array (%d bytes)", per, decodeArrayBytes)
 	}
 }

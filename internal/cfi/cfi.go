@@ -92,9 +92,6 @@ type CFG struct {
 	// indirection is the seam a type- or points-to-refined derivation
 	// would slot into.
 	siteTargets map[uint32]map[uint32]bool
-
-	// entryNames names the symbol-derived entries, for diagnostics.
-	entryNames map[uint32]string
 }
 
 // LabelAt returns the label byte for addr (zero outside the text span).
@@ -114,12 +111,6 @@ func (g *CFG) IsRetSite(addr uint32) bool { return g.LabelAt(addr)&LabelRetSite 
 // IsAddressTaken reports whether addr is in the address-taken dictionary.
 func (g *CFG) IsAddressTaken(addr uint32) bool { return g.LabelAt(addr)&LabelAddrTaken != 0 }
 
-// EntryName returns the symbol name of a symbol-derived entry, when known.
-func (g *CFG) EntryName(addr uint32) (string, bool) {
-	n, ok := g.entryNames[addr]
-	return n, ok
-}
-
 // IndirectSites returns the addresses of every recovered indirect forward
 // branch (CALLR/JMPR), in address order.
 func (g *CFG) IndirectSites() []uint32 {
@@ -134,11 +125,6 @@ func (g *CFG) Entries() []uint32 {
 // RetSites returns every recovered return site, in address order.
 func (g *CFG) RetSites() []uint32 {
 	return g.collect(LabelRetSite)
-}
-
-// AddressTaken returns the address-taken dictionary, in address order.
-func (g *CFG) AddressTaken() []uint32 {
-	return g.collect(LabelAddrTaken)
 }
 
 func (g *CFG) collect(mask uint8) []uint32 {
@@ -192,14 +178,12 @@ func Recover(p *kernel.Process) (*CFG, error) {
 		labels:      make([]uint8, end-base),
 		addrTaken:   make(map[uint32]bool),
 		siteTargets: make(map[uint32]map[uint32]bool),
-		entryNames:  make(map[uint32]string),
 	}
 
 	// Entry seed set: the linker's global text symbols.
-	for addr, name := range p.TextEntryPoints() {
+	for addr := range p.TextEntryPoints() {
 		if addr >= base && addr < end {
 			g.labels[addr-base] |= LabelEntry
-			g.entryNames[addr] = name
 		}
 	}
 

@@ -5,16 +5,16 @@ package cpu
 // The stepping engine pays fetch dispatch, breakpoint and tracer tests,
 // policy binding, and a policy exec check on every instruction. None of
 // that work depends on anything but the instruction stream, which is
-// immutable between code-generation changes — so this engine lifts it to
-// basic-block granularity: straight-line runs of decoded instructions
+// immutable while its pages' write stamps hold — so this engine lifts it
+// to basic-block granularity: straight-line runs of decoded instructions
 // are built once, cached in a direct-mapped block cache keyed by
-// (pc, mem.CodeGen, per-page write stamps), and executed in a tight loop
+// (pc, per-page write stamps), and executed in a tight loop
 // that pays the per-instruction switch and nothing else.
 //
 // Per-block, once, at entry:
 //   - the cache probe (which revalidates the whole fetch span: the block
-//     was built with per-byte X checks, and the generation discipline
-//     guarantees the bytes and their executability are unchanged on a hit);
+//     was built with per-byte X checks, and the page write stamps
+//     guarantee the bytes and their executability are unchanged on a hit);
 //   - the policy block summary: a Policy implementing BlockCheckCompiler
 //     proves once per span that every sequential CheckExec inside the
 //     block is allowed (and optionally that no data access can fail, in
@@ -167,16 +167,15 @@ type BlockStats struct {
 }
 
 // bcEntry is one block-cache slot. Validity mirrors the decode cache —
-// tag, array epoch, structural generation, span write stamps — plus the
-// policy epoch the block's summary was computed under. A slot whose tag
-// matches but whose block is empty is a pc in the hotness gate: heat
+// tag, array epoch, span write stamps — plus the policy epoch the
+// block's summary was computed under. A slot whose tag matches but
+// whose block is empty is a pc in the hotness gate: heat
 // counts step visits, and the block is built when heat reaches
 // blockHeat. A slot of an earlier array epoch is reset to empty on its
 // first probe, keeping only its blk.ins storage.
 type bcEntry struct {
 	tag   uint32
 	epoch uint32
-	sgen  uint64
 	pe    uint32
 	heat  uint8
 	// exe counts dispatches of the built block (saturating) — the
@@ -187,10 +186,7 @@ type bcEntry struct {
 	miss     uint8
 	ok       bool // policy summary permits block execution
 	dataFree bool // policy proved per-access data checks cannot fire
-	w0       *uint64
-	g0       uint64
-	w1       *uint64 // nil unless the span covers a second page
-	g1       uint64
+	stamps        // of the block's span; valid only while blk is built
 	blk      Block
 }
 
@@ -214,13 +210,6 @@ const blockHeat = 2
 // competitor claims the slot after a handful of visits; a one-shot pc
 // steps through exactly as it would have anyway.
 const evictMiss = 4
-
-// blockValid reports whether e's stamps still describe the bytes at
-// e.tag. Only meaningful for entries holding a built block.
-func (c *CPU) blockValid(e *bcEntry) bool {
-	return e.sgen == c.Mem.CodeGen() && *e.w0 == e.g0 &&
-		(e.w1 == nil || *e.w1 == e.g1)
-}
 
 // buildBlock decodes the basic block starting at pc into b, reusing b's
 // instruction storage. It reports false (leaving b empty) when the first
@@ -306,7 +295,7 @@ func (c *CPU) blockFor(pc uint32) *bcEntry {
 	}
 	if e.tag == pc {
 		if len(e.blk.ins) > 0 {
-			if e.pe == c.polEpoch && c.blockValid(e) {
+			if e.pe == c.polEpoch && e.valid() {
 				if c.BlockStats != nil {
 					c.BlockStats.Hits++
 				}
@@ -339,7 +328,7 @@ func (c *CPU) blockFor(pc uint32) *bcEntry {
 	// Conflict probe: a slot holding a valid built block is not
 	// surrendered to a newcomer until the newcomer keeps coming back
 	// (evictMiss) — see the eviction gate rationale above.
-	if len(e.blk.ins) > 0 && e.pe == c.polEpoch && c.blockValid(e) {
+	if len(e.blk.ins) > 0 && e.pe == c.polEpoch && e.valid() {
 		if e.miss++; e.miss < evictMiss {
 			return nil
 		}
@@ -361,15 +350,11 @@ func (c *CPU) fillBlockEntry(e *bcEntry, pc uint32) bool {
 	if !c.buildBlock(pc, &e.blk) {
 		return false
 	}
-	e.sgen = c.Mem.CodeGen()
 	e.pe = c.polEpoch
 	e.ok = true
 	e.dataFree = false
-	e.w0, e.g0 = c.Mem.CodeStamp(pc)
-	e.w1 = nil
-	if last := e.blk.End - 1; last/mem.PageSize != pc/mem.PageSize {
-		e.w1, e.g1 = c.Mem.CodeStamp(last)
-	}
+	// The block just decoded, so every page of its span is mapped.
+	e.stamps, _ = stampSpan(c.Mem, pc, e.blk.End-1)
 	if c.bound != nil {
 		// Run only dispatches here when a block compiler is bound.
 		e.dataFree, e.ok = c.blockCheck(e.blk.Start, e.blk.End)
@@ -445,7 +430,7 @@ func (c *CPU) runBlock(e *bcEntry, n int) {
 		c.Steps++
 		c.IP = next
 		ip = next
-		if b.wmask>>uint(i)&1 == 1 && i+1 < n && !c.blockValid(e) {
+		if b.wmask>>uint(i)&1 == 1 && i+1 < n && !e.valid() {
 			// The store may have rewritten this block's own bytes: bail
 			// out so the Run loop refetches from here through fresh
 			// decodes, and demote the entry to heat zero — a block that

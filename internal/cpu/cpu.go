@@ -199,26 +199,48 @@ const (
 	warmSize = 1 << warmBits
 )
 
+// stamps are the page write stamps (mem.CodeStamp) a cached span of
+// code was filled under: the stamp of the page holding its first byte
+// and, only when its last byte lies on another page, of that page too.
+// Decode, block and trace caches all validate through them, so this type
+// is the one place that decides how a span is stamped. Content writes
+// that could change code, permission changes and unmapping all move a
+// page's stamp, invalidating exactly the spans over that page.
+type stamps struct {
+	w0 *uint64
+	g0 uint64
+	w1 *uint64 // nil unless the span covers a second page
+	g1 uint64
+}
+
+// stampSpan stamps the code span [first, last] in m. ok is false when a
+// page the span covers is unmapped.
+func stampSpan(m *mem.Memory, first, last uint32) (s stamps, ok bool) {
+	s.w0, s.g0 = m.CodeStamp(first)
+	if last/mem.PageSize != first/mem.PageSize {
+		s.w1, s.g1 = m.CodeStamp(last)
+		return s, s.w0 != nil && s.w1 != nil
+	}
+	return s, s.w0 != nil
+}
+
+// valid reports whether the stamped span's pages are unchanged since the
+// stamps were taken.
+func (s *stamps) valid() bool {
+	return *s.w0 == s.g0 && (s.w1 == nil || *s.w1 == s.g1)
+}
+
 // dcEntry is one decode-cache slot. An entry is valid for address a iff
 // tag == a, epoch equals its array's epoch (see codeArray; checked
 // before anything else, so a stamp left by a previous owner is never
-// read), sgen equals the memory's current structural code generation
-// (mem.CodeGen), and the write stamps of the page(s) the instruction's
-// bytes span are unchanged (*w0 == g0, and *w1 == g1 when the
-// instruction crosses a page boundary). Only a successful decode fills
-// an entry, so an entry of the current epoch is never empty.
-// Permission changes and unmapping invalidate the entries over the
-// pages they touch, as do content writes that could change code
-// (mem.CodeStamp).
+// read), and the stamps of the instruction's bytes are valid. Only a
+// successful decode fills an entry, so an entry of the current epoch is
+// never empty.
 type dcEntry struct {
 	tag   uint32
 	epoch uint32
-	sgen  uint64
-	w0    *uint64
-	g0    uint64
-	w1    *uint64 // nil unless the instruction crosses a page boundary
-	g1    uint64
-	in    isa.Instr
+	stamps
+	in isa.Instr
 }
 
 // CPU is one SM32 hardware thread. Create with New; the zero value is not
@@ -337,13 +359,7 @@ func (c *CPU) ensureBound() {
 		c.bindPolicy()
 	}
 	if c.Mem != c.cacheMem {
-		c.dcache, c.bcache, c.tcache = nil, nil, nil
-		c.rec.active = false
-		// The warm-up probe holds addresses from the old address space;
-		// a stale hit would allocate the caches on a fresh one-shot
-		// run's very first fetch, defeating the lazy-allocation gate.
-		c.warmTags = [warmSize]uint32{}
-		c.cacheMem = c.Mem
+		c.ResetCaches()
 	}
 }
 
@@ -358,6 +374,9 @@ func (c *CPU) ensureBound() {
 func (c *CPU) ResetCaches() {
 	c.dcache, c.bcache, c.tcache = nil, nil, nil
 	c.rec.active = false
+	// The warm-up probe may hold addresses from another address space;
+	// a stale hit would allocate the caches on a fresh one-shot run's
+	// very first fetch, defeating the lazy-allocation gate.
 	c.warmTags = [warmSize]uint32{}
 	c.cacheMem = c.Mem
 }
@@ -582,11 +601,10 @@ func (c *CPU) pop() (uint32, bool) {
 }
 
 // fetch returns the decoded instruction at IP, consulting the decode
-// cache. A hit requires the entry's structural generation and page write
-// stamps to be current, so any event that could have changed the bytes
-// at IP since the fill forces a fresh fetch — the cache can never serve
-// stale bytes to self-modifying code, code injection, or post-Protect
-// fetches.
+// cache. A hit requires the entry's page write stamps to be current, so
+// any event that could have changed the bytes at IP since the fill
+// forces a fresh fetch — the cache can never serve stale bytes to
+// self-modifying code, code injection, or post-Protect fetches.
 func (c *CPU) fetch() (isa.Instr, bool) {
 	if c.dcache == nil {
 		if !c.warm() {
@@ -597,11 +615,9 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 		}
 		c.dcache = take[dcEntry](&dcachePool, dcacheSize)
 	}
-	sgen := c.Mem.CodeGen()
 	epoch := c.dcache.epoch
 	e := &c.dcache.ents[c.IP&(dcacheSize-1)]
-	if e.tag == c.IP && e.epoch == epoch && e.sgen == sgen &&
-		*e.w0 == e.g0 && (e.w1 == nil || *e.w1 == e.g1) {
+	if e.tag == c.IP && e.epoch == epoch && e.valid() {
 		if c.DecodeStats != nil {
 			c.DecodeStats.Hits++
 		}
@@ -612,11 +628,9 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 	}
 	in, ok := c.fetchSlow()
 	if ok {
-		*e = dcEntry{tag: c.IP, epoch: epoch, sgen: sgen, in: in}
-		e.w0, e.g0 = c.Mem.CodeStamp(c.IP)
-		if last := c.IP + uint32(in.Size) - 1; last/mem.PageSize != c.IP/mem.PageSize {
-			e.w1, e.g1 = c.Mem.CodeStamp(last)
-		}
+		// The fetch just read every byte, so both pages are mapped.
+		st, _ := stampSpan(c.Mem, c.IP, c.IP+uint32(in.Size)-1)
+		*e = dcEntry{tag: c.IP, epoch: epoch, stamps: st, in: in}
 	}
 	return in, ok
 }

@@ -10,15 +10,16 @@ import (
 )
 
 // TestCacheEntrySizes pins the cache entry layouts: each array epoch
-// lives in the padding after tag, so entries — and the arrays built
-// from them — are no larger than before epochs existed.
+// lives in the padding after tag, and an entry carries only its page
+// write stamps for validity, so entries — and the arrays built from
+// them — must not grow.
 func TestCacheEntrySizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"dcEntry", unsafe.Sizeof(dcEntry{}), 64},
-		{"bcEntry", unsafe.Sizeof(bcEntry{}), 112},
+		{"dcEntry", unsafe.Sizeof(dcEntry{}), 56},
+		{"bcEntry", unsafe.Sizeof(bcEntry{}), 104},
 		{"tcEntry", unsafe.Sizeof(tcEntry{}), 16},
 	} {
 		if c.got != c.want {

@@ -5,8 +5,8 @@ import "softsec/internal/isa"
 // ArchState is a checkpoint of the CPU's architectural state: everything
 // a program's execution can observe or modify, but none of the
 // micro-architecture. The decoded-instruction cache is deliberately not
-// part of it — cache validity is governed by the memory's code
-// generation, so a restore whose address space is byte-identical to the
+// part of it — cache validity is governed by the memory's page write
+// stamps, so a restore whose address space is byte-identical to the
 // checkpoint keeps the cache warm for free (see mem.Checkpoint).
 //
 // Process snapshot/restore (internal/kernel) pairs an ArchState with a

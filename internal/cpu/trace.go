@@ -35,20 +35,16 @@ package cpu
 // partial-retirement rule as blocks, so StepLimit fires at exactly the
 // same instruction.
 //
-// Invalidation mirrors blocks two-tier scheme exactly: a trace is keyed
-// on (entry pc, mem.CodeGen, per-member page write stamps, policy
-// epoch). Self-modifying code, Protect/Unmap, snapshot-restore rollbacks
-// and policy rebinds all move one of those, killing the trace at its
-// next probe or member boundary. Per-member policy span summaries are
+// Invalidation mirrors blocks exactly: a trace is keyed on (entry pc,
+// per-member page write stamps, policy epoch). Self-modifying code,
+// Protect/Unmap, snapshot-restore rollbacks and policy rebinds all move
+// one of those, killing the trace at its next probe or member boundary. Per-member policy span summaries are
 // composed from the same BlockCheckCompiler contract blocks use; a trace
 // whose members are all data-free (and store-free) additionally skips
 // the per-boundary stamp checks after validating every member once per
 // dispatch — nothing inside such a trace can write memory at all.
 
-import (
-	"softsec/internal/isa"
-	"softsec/internal/mem"
-)
+import "softsec/internal/isa"
 
 // UseTraceEngine gates the trace tier package-wide (it only applies when
 // UseBlockEngine is also set). The differential tests flip it to compare
@@ -113,14 +109,13 @@ func (st *TraceStats) SideExitRate() float64 {
 
 // tmember is one member block of a trace: an owned copy of the decoded
 // block plus its policy summary and the write stamps of the page(s) its
-// bytes span — the same validity scheme as a bcEntry, per member.
+// bytes span — the same validity scheme as a bcEntry, per member. The
+// policy epoch is trace-wide and checked at the cache probe; it cannot
+// move mid-trace because no trace contains an INT.
 type tmember struct {
 	blk      Block
 	dataFree bool
-	w0       *uint64
-	g0       uint64
-	w1       *uint64 // nil unless the member's span covers a second page
-	g1       uint64
+	stamps
 	// Direct threading: fused marks a member whose terminator is an
 	// unconditional direct JMP whose target is statically the next
 	// member's entry. The fast pass retires such a jump inline (Steps++
@@ -150,7 +145,6 @@ type tmember struct {
 // execute back to back, starting at start.
 type trace struct {
 	start uint32
-	sgen  uint64
 	pe    uint32
 	// pure marks a trace no member of which can write memory (no wmask
 	// bits, no stack-writing instructions): its members are validated
@@ -183,22 +177,13 @@ type tcEntry struct {
 type traceRec struct {
 	active bool
 	start  uint32
-	sgen   uint64
 	pe     uint32
 	pcs    []uint32
 }
 
-// memberValid reports whether m's page write stamps still describe the
-// bytes the member was built from (the structural generation and policy
-// epoch are trace-wide and checked at the cache probe; they cannot move
-// mid-trace because no trace contains an INT).
-func (c *CPU) memberValid(m *tmember) bool {
-	return *m.w0 == m.g0 && (m.w1 == nil || *m.w1 == m.g1)
-}
-
-// traceFor returns the valid cached trace starting at pc, or nil. Stale
-// traces (structural epoch or policy rebind) are dropped on probe so the
-// slot can re-form under the new regime.
+// traceFor returns the valid cached trace starting at pc, or nil. Traces
+// of an earlier policy epoch are dropped on probe so the slot can
+// re-form under the new policy.
 func (c *CPU) traceFor(pc uint32) *trace {
 	if c.tcache == nil {
 		return nil
@@ -208,7 +193,7 @@ func (c *CPU) traceFor(pc uint32) *trace {
 	if t == nil || e.tag != pc || e.epoch != c.tcache.epoch {
 		return nil
 	}
-	if t.sgen != c.Mem.CodeGen() || t.pe != c.polEpoch {
+	if t.pe != c.polEpoch {
 		e.tr = nil
 		return nil
 	}
@@ -347,13 +332,12 @@ func (c *CPU) recAfterBlock(pc uint32, e *bcEntry) {
 		}
 		r.active = true
 		r.start = pc
-		r.sgen = c.Mem.CodeGen()
 		r.pe = c.polEpoch
 		r.pcs = append(r.pcs[:0], pc)
 		return
 	}
-	if c.Mem.CodeGen() != r.sgen || c.polEpoch != r.pe || len(e.blk.ins) == 0 {
-		// The world changed under the recording (or the block
+	if c.polEpoch != r.pe || len(e.blk.ins) == 0 {
+		// The policy changed under the recording (or the block
 		// self-invalidated mid-flight): the chain is not stable.
 		r.active = false
 		c.statAbort()
@@ -386,12 +370,11 @@ func (c *CPU) recAfterBlock(pc uint32, e *bcEntry) {
 func (c *CPU) finishRec() {
 	r := &c.rec
 	r.active = false
-	if len(r.pcs) < MinTraceBlocks ||
-		c.Mem.CodeGen() != r.sgen || c.polEpoch != r.pe {
+	if len(r.pcs) < MinTraceBlocks || c.polEpoch != r.pe {
 		c.statAbort()
 		return
 	}
-	t := &trace{start: r.start, sgen: r.sgen, pe: r.pe, pure: true, allDataFree: true}
+	t := &trace{start: r.start, pe: r.pe, pure: true, allDataFree: true}
 	for _, pc := range r.pcs {
 		var b Block
 		if !c.buildBlock(pc, &b) || len(b.ins) == 0 || excludedTraceTerm(&b) {
@@ -405,17 +388,11 @@ func (c *CPU) finishRec() {
 			}
 			dataFree = df
 		}
-		m := tmember{blk: b, dataFree: dataFree}
-		m.w0, m.g0 = c.Mem.CodeStamp(pc)
-		if m.w0 == nil {
+		st, mapped := stampSpan(c.Mem, pc, b.End-1)
+		if !mapped {
 			break
 		}
-		if last := b.End - 1; last/mem.PageSize != pc/mem.PageSize {
-			m.w1, m.g1 = c.Mem.CodeStamp(last)
-			if m.w1 == nil {
-				break
-			}
-		}
+		m := tmember{blk: b, dataFree: dataFree, stamps: st}
 		if b.wmask != 0 || b.stackOps {
 			t.pure = false
 		}
@@ -486,7 +463,7 @@ func (c *CPU) runTrace(t *trace, budget uint64) {
 		// retires at most t.nins instructions), with a careful per-member
 		// tail when the remaining budget gets small.
 		for i := range t.members {
-			if !c.memberValid(&t.members[i]) {
+			if !t.members[i].valid() {
 				c.killTrace(t)
 				if st != nil {
 					st.StaleExits++
@@ -649,7 +626,7 @@ func (c *CPU) runTrace(t *trace, budget uint64) {
 			// have rewritten this member's bytes: revalidate its stamps
 			// at the boundary, exactly where the block engine would have
 			// re-probed.
-			if !c.memberValid(m) {
+			if !m.valid() {
 				c.killTrace(t)
 				if st != nil {
 					st.StaleExits++
@@ -701,7 +678,7 @@ func (c *CPU) runMember(t *trace, m *tmember, budget uint64) bool {
 		c.Steps++
 		c.IP = next
 		ip = next
-		if b.wmask>>uint(i)&1 == 1 && i+1 < n && !c.memberValid(m) {
+		if b.wmask>>uint(i)&1 == 1 && i+1 < n && !m.valid() {
 			// The store rewrote this member's own bytes: the rest of the
 			// cached run must not execute (the stepping engine would see
 			// the fresh bytes). Kill the trace and let the Run loop

@@ -568,16 +568,11 @@ func (c *Campaign) record(input []byte, r ExecResult) {
 // Result returns the campaign summary so far.
 func (c *Campaign) Result() Result { return c.res }
 
-// Run executes a whole campaign: New + Fuzz(MaxExecs) + Result.
+// Run executes a whole campaign: New + Fuzz(MaxExecs) + Result. It is
+// RunCollected without telemetry.
 func Run(cfg Config) (Result, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := c.Fuzz(c.cfg.MaxExecs); err != nil {
-		return Result{}, err
-	}
-	return c.Result(), nil
+	res, _, err := RunCollected(cfg, nil)
+	return res, err
 }
 
 // corpusEntry is one admitted input.

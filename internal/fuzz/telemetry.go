@@ -14,11 +14,16 @@ import (
 // The retired-step total published as cpu.steps.retired is the
 // campaign's accumulated per-execution sum, not the CPU's own counter:
 // snapshot restores roll the architectural counter back once per exec.
+//
+// The campaign's victim is released once the result and snapshot are
+// taken (see kernel.Process.Release), so the next campaign reuses its
+// pages and code-cache arrays.
 func RunCollected(cfg Config, spec *telemetry.Spec) (Result, *telemetry.Snap, error) {
 	c, err := New(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
+	defer c.proc.Release()
 	ins := kernel.AttachInstruments(c.proc, spec)
 	if ins != nil {
 		c.events = ins.Ring

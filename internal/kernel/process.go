@@ -56,15 +56,11 @@ func NominalLayoutFor(p *layout.Profile) Layout {
 	}
 }
 
-// RandomizedLayout draws page-aligned base offsets from rng for the
-// classic profile, implementing Address Space Layout Randomization
-// (Section III-C1): it makes the addresses an exploit must guess — buffer
-// locations, saved return addresses, gadget addresses — unpredictable.
-func RandomizedLayout(rng *rand.Rand) Layout {
-	return RandomizedLayoutFor(rng, nil)
-}
-
-// RandomizedLayoutFor randomizes a profile's layout. Draw order is fixed
+// RandomizedLayoutFor draws page-aligned base offsets from rng for a
+// profile's layout (the classic one when p is nil), implementing Address
+// Space Layout Randomization (Section III-C1): it makes the addresses an
+// exploit must guess — buffer locations, saved return addresses, gadget
+// addresses — unpredictable. Draw order is fixed
 // (text, data, heap, stack) so a given seed produces the same layout
 // regardless of call-site history; the window widths come from the
 // profile.
@@ -354,9 +350,10 @@ func Load(ld *Linked, cfg Config) (*Process, error) {
 	if err := m.Map(layout.StackLow, layout.StackSize, dataPerm); err != nil {
 		return nil, fmt.Errorf("kernel: map stack: %w", err)
 	}
-	// Loader writes go through the raw paths, which bump the memory's code
-	// generation — any CPU decode cache over this address space starts (or
-	// restarts) cold, so the freshly loaded text is what executes.
+	// Loader writes go through the raw paths, which bump the written
+	// pages' write stamps — any CPU decode cache over this address space
+	// starts (or restarts) cold, so the freshly loaded text is what
+	// executes.
 	if err := m.LoadRaw(layout.Text, ld.Text); err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@
 // sequential and loop-heavy access patterns of the interpreter resolve
 // without walking the table.
 //
-// Code-cache invalidation is two-tier. The fine tier is a per-page write
+// Code-cache invalidation is per page. Each page carries a write
 // generation, exposed through CodeStamp: it bumps on every event that
 // could change what executing code on that page means — content writes
 // that could change code (checked writes landing on an executable page,
@@ -21,12 +21,9 @@
 // unmapped or its backing object recycled, and checkpoint rollbacks. The
 // CPU's decode, block and trace caches record (stamp pointer, value)
 // pairs at fill time and treat any change as invalidation of exactly the
-// spans over that page. The coarse tier is the structural generation
-// counter (CodeGen), a whole-address-space epoch kept in every cache key:
-// it no longer moves on Map/Unmap/Protect — those events invalidate
-// precisely the pages they touch, through the fine tier — so the caches
-// stay warm across the map/unmap churn of a fuzzing campaign's heap, and
-// across snapshot restores that undo it.
+// spans over that page, so the caches stay warm across the map/unmap
+// churn of a fuzzing campaign's heap, and across snapshot restores that
+// undo it.
 package mem
 
 import (
@@ -124,8 +121,8 @@ type page struct {
 	data [PageSize]byte
 	perm Perm
 	// dirty records that data may hold a non-zero byte: every content
-	// write sets it (through touch, or directly on Restore's and Clone's
-	// whole-page copies). allocPage zeroes a recycled page only when it
+	// write sets it (through touch, or directly on Restore's rollbacks,
+	// which bypass it). allocPage zeroes a recycled page only when it
 	// is set, so a page that was mapped but never written — most of a
 	// stack — is reused without a 4 KiB clear.
 	dirty bool
@@ -165,9 +162,6 @@ type Memory struct {
 	// a table.
 	l1used [l1Size / 64]uint64
 	npages int
-
-	// gen is the code generation counter; see CodeGen.
-	gen uint64
 
 	// One-entry translation cache: the page of the last successful
 	// lookup. lastPage == nil means the entry is invalid.
@@ -213,7 +207,7 @@ func New() *Memory {
 // reset returns a Memory emptied by unmapAll to the state of a new one,
 // keeping its free page and table lists.
 func (m *Memory) reset() {
-	m.npages, m.gen = 0, 0
+	m.npages = 0
 	m.lastPN, m.lastPage = 0, nil
 	m.snap, m.snapSeq = nil, 0
 	m.stats = nil
@@ -290,17 +284,6 @@ func (m *Memory) eachPage(f func(pn uint32, p *page)) {
 		}
 	}
 }
-
-// CodeGen returns the structural code generation: the address-space
-// epoch every cached decode, block and trace is keyed under. The CPU's
-// caches treat any change as a full invalidation. Structural events no
-// longer move it — Map, Unmap and Protect invalidate exactly the pages
-// they touch by bumping those pages' write generations (see CodeStamp) —
-// so a cached decode is valid exactly while the generation it was filled
-// under and the write stamps of the pages it spans are both current. The
-// counter remains in the key as the full-flush reserve: an epoch change
-// invalidates everything at once without touching any page.
-func (m *Memory) CodeGen() uint64 { return m.gen }
 
 // CodeStamp returns the write-generation stamp for code at addr: a
 // pointer to the owning page's write-generation counter plus its current
@@ -803,18 +786,4 @@ func (m *Memory) Regions() []Region {
 		out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 	})
 	return out
-}
-
-// Clone returns a deep copy of the address space. Scenario runners use it
-// to replay attacks against identical initial states. The clone's
-// translation cache starts cold, its generation counter advances
-// independently of the original's, and it carries no active checkpoint.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{npages: m.npages, gen: m.gen}
-	m.eachPage(func(pn uint32, p *page) {
-		np := &page{perm: p.perm, dirty: true}
-		np.data = p.data
-		c.setPage(pn, np)
-	})
-	return c
 }

@@ -226,24 +226,6 @@ func TestLoadRawUnmapped(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := New()
-	mustMap(t, m, 0x1000, PageSize, RW)
-	if err := m.Write32(0x1000, 42); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Clone()
-	if err := c.Write32(0x1000, 99); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Read32(0x1000); v != 42 {
-		t.Fatalf("clone write leaked into original: %d", v)
-	}
-	if v, _ := c.Read32(0x1000); v != 99 {
-		t.Fatalf("clone lost write: %d", v)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var m Memory
 	if m.Mapped(0) {
@@ -314,63 +296,15 @@ func TestPermString(t *testing.T) {
 	}
 }
 
-// TestCloneIndependentCaches exercises the clone's translation cache and
-// generation counter: warming the original's cache before cloning must
-// not let the clone resolve to the original's pages, and code-generation
-// bumps on one side must not invalidate (or fail to invalidate) the
-// other.
-func TestCloneIndependentCaches(t *testing.T) {
-	m := New()
-	mustMap(t, m, 0x1000, PageSize, RX)
-	m.PokeWord(0x1000, 0x11111111)
-	// Warm the original's one-entry translation cache on the page the
-	// clone will also use.
-	if _, err := m.Read8(0x1000); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Clone()
-
-	// The clone starts cold; its first access must resolve to its own
-	// copy of the page, not the original's cached one.
-	c.PokeWord(0x1000, 0x22222222)
-	if v := m.PeekWord(0x1000); v != 0x11111111 {
-		t.Fatalf("clone write reached original (got %#x)", v)
-	}
-	if v := c.PeekWord(0x1000); v != 0x22222222 {
-		t.Fatalf("clone lost its own write (got %#x)", v)
-	}
-
-	// And the original's warmed cache must keep writing to the original.
-	m.PokeWord(0x1000, 0x33333333)
-	if v := c.PeekWord(0x1000); v != 0x22222222 {
-		t.Fatalf("original write reached clone (got %#x)", v)
-	}
-
-	// Write stamps advance independently: the clone's pages are fresh
-	// objects, so a poke on the original never moves a clone stamp.
-	_, cg0 := c.CodeStamp(0x1000)
-	m.PokeWord(0x1000, 0x44444444)
-	if _, g := c.CodeStamp(0x1000); g != cg0 {
-		t.Fatal("original's write stamp bump leaked into clone")
-	}
-	c.PokeWord(0x1000, 0x55555555)
-	if _, g := c.CodeStamp(0x1000); g == cg0 {
-		t.Fatal("clone's own poke did not bump its write stamp")
-	}
-}
-
-// TestCodeGenEvents pins down exactly which events bump which tier of
-// the invalidation the CPU's decode, block and trace caches subscribe
-// to: content writes that could change code, permission changes and
-// unmapping move the touched page's CodeStamp (per-page invalidation,
-// and only the touched page's), reads and plain data writes move
-// nothing, and no event of ordinary execution moves CodeGen — the
-// structural epoch in every cache key is a full-flush reserve, not a
-// per-event tier, which is what keeps the caches warm across the
-// map/unmap heap churn of a fuzzing campaign.
+// TestCodeGenEvents pins down exactly which events move the page write
+// stamps the CPU's decode, block and trace caches validate by: content
+// writes that could change code, permission changes and unmapping move
+// the touched page's CodeStamp (and only the touched page's), while
+// reads, plain data writes and mapping other pages move nothing — which
+// is what keeps the caches warm across the map/unmap heap churn of a
+// fuzzing campaign.
 func TestCodeGenEvents(t *testing.T) {
 	m := New()
-	gen0 := m.CodeGen()
 	pageWrite := func(name string, addr uint32, f func()) {
 		t.Helper()
 		_, w0 := m.CodeStamp(addr)
@@ -474,10 +408,6 @@ func TestCodeGenEvents(t *testing.T) {
 
 	if ref, _ := m.CodeStamp(0x9000); ref != nil {
 		t.Fatal("CodeStamp of unmapped address must return nil")
-	}
-	if m.CodeGen() != gen0 {
-		t.Fatalf("ordinary events moved CodeGen (%d -> %d); the epoch is a full-flush reserve",
-			gen0, m.CodeGen())
 	}
 }
 

@@ -141,8 +141,8 @@ func checkNew(t *testing.T, m *Memory) {
 	got := *m
 	got.free, got.tables = nil, nil
 	if !reflect.DeepEqual(got, Memory{}) {
-		t.Fatalf("recycled Memory differs from a new one: npages %d gen %d snapSeq %d lastPage %v snap %v",
-			got.npages, got.gen, got.snapSeq, got.lastPage, got.snap)
+		t.Fatalf("recycled Memory differs from a new one: npages %d snapSeq %d lastPage %v snap %v",
+			got.npages, got.snapSeq, got.lastPage, got.snap)
 	}
 	for _, tab := range m.tables {
 		if *tab != (l2table{}) {
@@ -152,11 +152,10 @@ func checkNew(t *testing.T, m *Memory) {
 }
 
 // TestScrubProperty dirties address spaces through every content path,
-// releases them (and released clones of them), then maps ranges both
-// overlapping and disjoint from the old mappings in the recycled Memory.
-// Whatever recycled page or table a mapping draws, every byte reads
-// zero, every page has seq 0, and npages and Regions are those of a new
-// Memory with the same mappings.
+// releases them, then maps ranges both overlapping and disjoint from the
+// old mappings in the recycled Memory. Whatever recycled page or table a
+// mapping draws, every byte reads zero, every page has seq 0, and npages
+// and Regions are those of a new Memory with the same mappings.
 func TestScrubProperty(t *testing.T) {
 	fresh := func(maps [][3]uint32) *Memory {
 		f := &Memory{}
@@ -176,11 +175,6 @@ func TestScrubProperty(t *testing.T) {
 		}
 		m.eachPage(func(_ uint32, p *page) { old[p] = true })
 
-		if iter%3 == 0 {
-			// A released clone recycles its own pages the same way.
-			m = m.Clone()
-			m.eachPage(func(_ uint32, p *page) { old[p] = true })
-		}
 		if iter%5 == 0 {
 			// Through the pool, as processes do; the pool may drop m
 			// (it does so on purpose under -race), then New is new.

@@ -35,7 +35,7 @@ import "fmt"
 // keep their stamps, so their cached decodes, blocks and traces stay warm
 // across resets — the fuzzing fast path. Structural changes since the
 // checkpoint need no special pass here: Map, Unmap and Protect invalidate
-// per page through the same write-generation tier as they happen (see
+// per page through the same write generations as they happen (see
 // mem.go), and the created pages Restore removes are retired through
 // releasePage, which bumps their stamps before recycling them.
 
@@ -77,13 +77,6 @@ func (m *Memory) Checkpoint() *Checkpoint {
 	}
 	m.snap = cp
 	return cp
-}
-
-// Discard stops tracking for cp without restoring anything.
-func (m *Memory) Discard(cp *Checkpoint) {
-	if m.snap == cp {
-		m.snap = nil
-	}
 }
 
 // Restore rolls the address space back to the state captured by cp:

@@ -54,9 +54,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append seals, validates and persists a record, returning its ledger
 // entry. The record file lands before the ledger line, so a crash
 // between the two leaves an orphaned record file, never a dangling
