@@ -21,12 +21,15 @@ import (
 
 // TestAllocsColdLoadRecycled pins a reseeded cold trial — Load with a
 // fresh ASLR layout and canary, Run, Release — on storage released by
-// the trial before it (BenchmarkFullReload/aslr+canary).
+// the trial before it (BenchmarkFullReload/aslr+canary). Besides the
+// count, the bytes per trial are gated: pages, code caches and the ASLR
+// generator all come back recycled, so what is left is small objects
+// (about 1.3–1.9 KB); a 4.9 KB generator or a page per trial fails it.
 func TestAllocsColdLoadRecycled(t *testing.T) {
 	ld := quickstartLinked(t)
 	in := kernel.ScriptInput{[]byte("hello")}
 	seed := int64(0)
-	allocs := testing.AllocsPerRun(200, func() {
+	trial := func() {
 		seed++
 		p, err := kernel.Load(ld, kernel.Config{DEP: true, ASLR: true, ASLRSeed: seed, CanarySeed: seed, Input: &in})
 		if err != nil {
@@ -36,9 +39,22 @@ func TestAllocsColdLoadRecycled(t *testing.T) {
 			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
 		}
 		p.Release()
-	})
-	if allocs > 8 {
-		t.Fatalf("cold load on recycled storage: %v allocs per trial, gate is 8", allocs)
+	}
+	allocs := testing.AllocsPerRun(200, trial)
+	if allocs > 7 {
+		t.Fatalf("cold load on recycled storage: %v allocs per trial, gate is 7", allocs)
+	}
+	const n, gate = 200, 3 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		trial()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes per trial", per)
+	if per > gate {
+		t.Fatalf("cold load on recycled storage: %d bytes per trial, gate is %d", per, gate)
 	}
 }
 

@@ -391,6 +391,31 @@ func BenchmarkTrialThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepT1 measures the headline sweep: one harness.Run of the
+// whole t1 group per iteration, 100 trials per cell, at the default pool
+// width. Unlike BenchmarkTrialThroughput it reaches the warm cells, so
+// the cost of building, restoring and releasing warm instances shows in
+// its trials/sec and bytes per op.
+func BenchmarkSweepT1(b *testing.B) {
+	const trials = 100
+	reg := harness.NewRegistry()
+	if err := core.RegisterScenarios(reg); err != nil {
+		b.Fatal(err)
+	}
+	scs := reg.Group("t1")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rep := harness.Run(scs, harness.Options{Trials: trials, BaseSeed: 1})
+		for _, c := range rep.Cells {
+			if c.Errors > 0 {
+				b.Fatalf("%s: %d trial errors: %s", c.Scenario, c.Errors, c.FirstError)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(scs)*trials)/b.Elapsed().Seconds(), "trials/sec")
+}
+
 // --- fuzzing subsystem: process resets and campaign throughput ----------
 
 // quickstartVictim is the quickstart example's vulnerable server — the

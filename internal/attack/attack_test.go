@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -403,5 +404,46 @@ func TestGadgetString(t *testing.T) {
 	}}
 	if s := g.String(); !strings.Contains(s, "pop eax") || !strings.Contains(s, "ret") {
 		t.Fatalf("gadget string %q", s)
+	}
+}
+
+// encodedMarkerShellcode is the two-pass encoder build of the marker
+// shellcode: encode once to learn the code length, then again with the
+// message address right after the code. MarkerShellcode patches a
+// prebuilt copy instead and must produce the same bytes.
+func encodedMarkerShellcode(loadAddr uint32) []byte {
+	build := func(msgAddr uint32) []byte {
+		var b []byte
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 1})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: msgAddr})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: uint32(len(PwnMarker))})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 4})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.INT, Imm: 0x80})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: PwnExitCode})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 1})
+		b = isa.MustEncode(b, isa.Instr{Op: isa.INT, Imm: 0x80})
+		return b
+	}
+	code := build(loadAddr + uint32(len(build(0))))
+	return append(code, PwnMarker...)
+}
+
+func TestMarkerShellcodeMatchesEncoder(t *testing.T) {
+	addrs := []uint32{0, 1, 0x08048123, 0xbfffeeee, 0xffffffff}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		addrs = append(addrs, rng.Uint32())
+	}
+	for _, a := range addrs {
+		got, want := MarkerShellcode(a), encodedMarkerShellcode(a)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarkerShellcode(%#x) = % x, encoder % x", a, got, want)
+		}
+	}
+	// Each call returns its own bytes: patching one must not move another.
+	a, b := MarkerShellcode(0x1000), MarkerShellcode(0x2000)
+	a[0] ^= 0xff
+	if !bytes.Equal(b, encodedMarkerShellcode(0x2000)) || bytes.Equal(a, MarkerShellcode(0x1000)) {
+		t.Fatal("MarkerShellcode results share storage")
 	}
 }

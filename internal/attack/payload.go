@@ -20,29 +20,39 @@ const PwnExitCode = 66
 // ShellExitCode matches libc's spawn_shell (the return-to-libc target).
 const ShellExitCode = 61
 
+// markerCode is the code part of MarkerShellcode, encoded once with a
+// zero message address: write(1, msg, len(PwnMarker)) then
+// exit(PwnExitCode).
+var markerCode = func() []byte {
+	var b []byte
+	for _, in := range []isa.Instr{
+		{Op: isa.MOVI, Rd: isa.EBX, Imm: 1},
+		{Op: isa.MOVI, Rd: isa.ECX}, // msg address, patched per call
+		{Op: isa.MOVI, Rd: isa.EDX, Imm: uint32(len(PwnMarker))},
+		{Op: isa.MOVI, Rd: isa.EAX, Imm: 4}, // write
+		{Op: isa.INT, Imm: 0x80},
+		{Op: isa.MOVI, Rd: isa.EBX, Imm: PwnExitCode},
+		{Op: isa.MOVI, Rd: isa.EAX, Imm: 1}, // exit
+		{Op: isa.INT, Imm: 0x80},
+	} {
+		b = isa.MustEncode(b, in)
+	}
+	return b
+}()
+
+// markerMsgImm is the offset of the MOVI ECX immediate in markerCode:
+// MOVI is the byte 0xB8+r followed by imm32, and it is the second one.
+const markerMsgImm = 5 + 1
+
 // MarkerShellcode builds position-dependent shellcode that performs
 // write(1, msg, 6) then exit(66), with msg embedded right after the code.
 // loadAddr must be the address where the first shellcode byte will land
 // (for the classic stack smash: the address of the overflowed buffer).
 func MarkerShellcode(loadAddr uint32) []byte {
-	// Code layout: five MOVI (5 bytes each) + 2×INT (2 bytes each) +
-	// one MOVI... assemble in two passes because the message address
-	// depends on total code length.
-	build := func(msgAddr uint32) []byte {
-		var b []byte
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 1})
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: msgAddr})
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: uint32(len(PwnMarker))})
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 4}) // write
-		b = isa.MustEncode(b, isa.Instr{Op: isa.INT, Imm: 0x80})
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: PwnExitCode})
-		b = isa.MustEncode(b, isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 1}) // exit
-		b = isa.MustEncode(b, isa.Instr{Op: isa.INT, Imm: 0x80})
-		return b
-	}
-	codeLen := len(build(0))
-	code := build(loadAddr + uint32(codeLen))
-	return append(code, []byte(PwnMarker)...)
+	b := make([]byte, len(markerCode), len(markerCode)+len(PwnMarker))
+	copy(b, markerCode)
+	le.PutUint32(b[markerMsgImm:], loadAddr+uint32(len(markerCode)))
+	return append(b, PwnMarker...)
 }
 
 // SmashSpec describes a stack-smashing payload against a frame laid out in

@@ -90,3 +90,7 @@ func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	r, snap := runLoaded(p, w.s.Goal, t.Telemetry)
 	return trialResult(r, snap, nil)
 }
+
+// Release recycles the cell's process once its worker has moved on to
+// another cell; the harness calls it through an optional interface.
+func (w *warmCell) Release() { w.p.Release() }

@@ -104,7 +104,7 @@ func Run(scenarios []Scenario, opt Options) *Report {
 		wg.Add(1)
 		go func(ws *warmState) {
 			defer wg.Done()
-			ws.inst = make(map[int]WarmInstance)
+			ws.si = -1
 			for u := range work {
 				s := scenarios[u.si]
 				t := Trial{
@@ -116,6 +116,7 @@ func Run(scenarios []Scenario, opt Options) *Report {
 				results[u.si][u.ti] = ws.runUnit(s, u.si, t)
 				prog.trialDone(u.si)
 			}
+			ws.release()
 		}(&workers[w])
 	}
 	for si := range scenarios {

@@ -70,13 +70,16 @@ func seedParity(name string) Scenario {
 	return Scenario{
 		Name:  name,
 		Group: "synthetic",
-		Run: func(tr Trial) TrialResult {
-			if tr.Seed%2 == 0 {
-				return TrialResult{Outcome: "even", Success: true}
-			}
-			return TrialResult{Outcome: "odd"}
-		},
+		Run:   parity,
 	}
+}
+
+// parity labels a trial by its seed's parity.
+func parity(t Trial) TrialResult {
+	if t.Seed%2 == 0 {
+		return TrialResult{Outcome: "even", Success: true}
+	}
+	return TrialResult{Outcome: "odd"}
 }
 
 func TestEngineAggregation(t *testing.T) {

@@ -326,11 +326,13 @@ func Load(ld *Linked, cfg Config) (*Process, error) {
 		// collide. The rng is seeded from ASLRSeed, so the accepted
 		// layout — including any redraws — is deterministic per seed
 		// (and equal to a rand.NewSource(ASLRSeed) generator's).
-		rng := rand.New(newLazySource(cfg.ASLRSeed))
-		layout = RandomizedLayoutFor(rng, cfg.Profile)
+		r := aslrPool.Get().(*aslrRand)
+		r.rng.Seed(cfg.ASLRSeed)
+		layout = RandomizedLayoutFor(r.rng, cfg.Profile)
 		for i := 0; i < 64 && !layoutFits(layout, ld); i++ {
-			layout = RandomizedLayoutFor(rng, cfg.Profile)
+			layout = RandomizedLayoutFor(r.rng, cfg.Profile)
 		}
+		aslrPool.Put(r)
 	}
 	m := mem.New()
 

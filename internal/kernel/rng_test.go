@@ -74,12 +74,18 @@ func testStream(t *testing.T, seeds []int64) {
 	}
 }
 
-// testInt31n draws through rand.New, including bounds that are not
-// powers of two and reject about half their draws.
+// testInt31n draws through the pooled rand.Rand that Load uses,
+// including bounds that are not powers of two and reject about half
+// their draws.
 func testInt31n(t *testing.T, seeds []int64) {
 	bounds := []int32{1, 2, 3, 7, 0x100, 0x400, 0x800, 0x2000, 1000003, 1<<30 + 1}
+	// One pooled generator, reseeded per seed as Load does, so every seed
+	// after the first also checks that Seed clears the previous draws.
+	r := aslrPool.Get().(*aslrRand)
+	defer aslrPool.Put(r)
 	for _, seed := range seeds {
-		got, want := rand.New(newLazySource(seed)), rand.New(rand.NewSource(seed))
+		r.rng.Seed(seed)
+		got, want := r.rng, rand.New(rand.NewSource(seed))
 		for i := 0; i < 60; i++ {
 			n := bounds[i%len(bounds)]
 			if g, w := got.Int31n(n), want.Int31n(n); g != w {
